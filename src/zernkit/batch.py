@@ -6,6 +6,11 @@ unique mode's chain from scratch, data-parallel with no shared state. Both
 run the identical recurrence in the identical order, so their outputs are
 bit-for-bit equal; the step counters expose how much recomputation the
 cache avoids.
+
+Both write each unique radial result straight into the rows it serves of one
+C-contiguous (modes, points) buffer; a duplicate mode costs one row copy.
+``EvalMatrix.values`` is that buffer's transpose: points by modes,
+Fortran-ordered.
 """
 
 from __future__ import annotations
@@ -94,11 +99,12 @@ def independent_step_counter(plan: DedupPlan, deriv_order: int) -> StepCounter:
     return StepCounter(recursion_steps=steps, chain_count=chains)
 
 
-def _scattered(unique: np.ndarray, request: BatchRequest, plan: DedupPlan) -> EvalMatrix:
-    values = unique[:, list(plan.scatter)] if plan.scatter else unique
-    return EvalMatrix(
-        values=values, modes=request.modes, deriv_order=request.deriv_order
-    )
+def _served_rows(plan: DedupPlan) -> list[list[int]]:
+    """Output rows each unique slot serves: ``plan.scatter`` inverted."""
+    rows: list[list[int]] = [[] for _ in plan.unique_keys]
+    for row, slot in enumerate(plan.scatter):
+        rows[slot].append(row)
+    return rows
 
 
 def batch_cached(
@@ -118,7 +124,8 @@ def batch_cached(
     k = request.deriv_order
     zeros = np.zeros_like(rho)
     groups = _alpha_groups(plan)
-    unique = np.empty((rho.size, len(plan.unique_keys)), dtype=np.float64)
+    rows = _served_rows(plan)
+    out = np.empty((len(request.modes), rho.size), dtype=np.float64)
 
     def run_group(item):
         alpha, entries = item
@@ -131,7 +138,9 @@ def batch_cached(
             per_mode = [
                 chains[i][j - i] if j - i >= 0 else zeros for i in range(k + 1)
             ]
-            unique[:, slot] = assemble_radial(rho, alpha, j, k, per_mode)
+            value = assemble_radial(rho, alpha, j, k, per_mode)
+            for row in rows[slot]:
+                out[row] = value
 
     if parallel and len(groups) > 1:
         with ThreadPoolExecutor() as pool:
@@ -139,7 +148,7 @@ def batch_cached(
     else:
         for item in groups:
             run_group(item)
-    return _scattered(unique, request, plan), cached_step_counter(plan, k)
+    return EvalMatrix(out.T, request.modes, k), cached_step_counter(plan, k)
 
 
 def batch_independent(
@@ -160,7 +169,8 @@ def batch_independent(
     u = jacobi_argument(rho)
     k = request.deriv_order
     zeros = np.zeros_like(rho)
-    unique = np.empty((rho.size, len(plan.unique_keys)), dtype=np.float64)
+    rows = _served_rows(plan)
+    out = np.empty((len(request.modes), rho.size), dtype=np.float64)
 
     def run_key(item):
         slot, (n, alpha) = item
@@ -169,7 +179,9 @@ def batch_independent(
             jacobi_chain(j - i, alpha + i, i, u)[j - i] if j - i >= 0 else zeros
             for i in range(k + 1)
         ]
-        unique[:, slot] = assemble_radial(rho, alpha, j, k, per_mode)
+        value = assemble_radial(rho, alpha, j, k, per_mode)
+        for row in rows[slot]:
+            out[row] = value
 
     items = list(enumerate(plan.unique_keys))
     if parallel and len(items) > 1:
@@ -178,7 +190,7 @@ def batch_independent(
     else:
         for item in items:
             run_key(item)
-    return _scattered(unique, request, plan), independent_step_counter(plan, k)
+    return EvalMatrix(out.T, request.modes, k), independent_step_counter(plan, k)
 
 
 def evaluate_batch(

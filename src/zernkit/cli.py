@@ -350,6 +350,8 @@ def _parse_value_file(path) -> list[float]:
                     )
     except OSError as exc:
         raise OutputError(f"cannot read {path}: {exc}")
+    if not values:
+        raise click.UsageError(f"{path}: no values found")
     return values
 
 

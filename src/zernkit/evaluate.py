@@ -200,10 +200,17 @@ def radial_direct(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
         poly = differentiate_exact(poly, deriv_order)
     if not poly.terms:
         return np.zeros_like(rho)
+    try:
+        coeffs = [float(c) for _, c in poly.terms]
+    except OverflowError:
+        raise ValueError(
+            f"direct sum of (n={n}, m={m_abs}) at derivative order {deriv_order}: "
+            "a coefficient exceeds the binary64 range"
+        ) from None
     u = rho * rho
-    acc = np.full_like(rho, float(poly.terms[0][1]))
-    for _, c in poly.terms[1:]:
-        acc = acc * u + float(c)
+    acc = np.full_like(rho, coeffs[0])
+    for c in coeffs[1:]:
+        acc = acc * u + c
     low = poly.terms[-1][0]
     return acc * rho**low
 

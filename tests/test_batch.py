@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +143,23 @@ def test_parallel_execution_is_bit_identical():
         serial_i, _ = batch_independent(indep_req, parallel=False)
         threaded_i, _ = batch_independent(indep_req, parallel=True)
         assert np.array_equal(serial_i.values, threaded_i.values)
+
+
+@pytest.mark.parametrize("strategy", ["cached", "independent"])
+def test_output_is_one_modes_major_buffer(strategy):
+    grid = zk.linear_radial_grid(5000)
+    request = BatchRequest(
+        modes=full_mode_set(40), grid=grid, deriv_order=0, strategy=strategy
+    )
+    tracemalloc.start()
+    try:
+        table, _ = evaluate_batch(request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.values.T.flags["C_CONTIGUOUS"]
+    # a second points-by-unique-modes buffer would add ~0.5x
+    assert peak <= 1.1 * table.values.nbytes
 
 
 def test_strategy_preconditions():

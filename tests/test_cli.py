@@ -285,6 +285,19 @@ def test_eval_rejects_out_of_range_rho_and_mismatch(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eval_empty_rho_file_is_usage_error(runner, tmp_path, fmt):
+    modes = tmp_path / "modes.txt"
+    rho = tmp_path / "rho.txt"
+    write_lines(modes, ["0 0"])
+    rho.write_text("\n")
+    result = runner.invoke(
+        main, ["eval", "--modes", str(modes), "--rho", str(rho), "--format", fmt]
+    )
+    assert result.exit_code == 2
+    assert "rho.txt: no values found" in result.output
+
+
 def test_eval_missing_input_is_io_error(runner, tmp_path):
     rho = tmp_path / "rho.txt"
     write_lines(rho, ["0.5"])

@@ -142,6 +142,12 @@ def test_radial_direct_unstable_at_high_degree():
     assert err > 1.0
 
 
+def test_radial_direct_coefficient_overflow_is_value_error():
+    assert np.isfinite(radial_direct(812, 0, [0.5])).all()
+    with pytest.raises(ValueError, match=r"n=814, m=0"):
+        radial_direct(814, 0, [0.5])
+
+
 def test_radial_direct_derivative_path(grid100, rational100):
     reference = zk.oracle_table(zk.as_mode_set([(8, 2)]), rational100, 2)
     got = radial_direct(8, 2, grid100, 2)
