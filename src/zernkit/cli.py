@@ -113,6 +113,8 @@ def run_accuracy(
     """
     if n_max < 0 or n_max > MAX_ACCURACY_N:
         raise ValueError(f"n_max must be in 0..{MAX_ACCURACY_N}, got {n_max}")
+    if k_max not in (0, 1, 2, 3):
+        raise ValueError(f"k_max must be in 0..3, got {k_max}")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")

@@ -227,24 +227,36 @@ def radial_ztt_table(modes: ModeSet, grid) -> np.ndarray:
     modes = tuple(modes)
     rho = radial_grid(grid)
     memo: dict[tuple[int, int], np.ndarray] = {}
-
-    def level(n: int, m: int) -> np.ndarray:
-        key = (n, m)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        if n == m:
-            value = rho**n
-        else:
-            value = rho * (level(n - 1, abs(m - 1)) + level(n - 1, m + 1)) - level(
-                n - 2, m
-            )
-        memo[key] = value
-        return value
-
     out = np.empty((rho.size, len(modes)), dtype=np.float64)
     for col, mode in enumerate(modes):
-        out[:, col] = level(mode.n, mode.m_abs)
+        key = (mode.n, mode.m_abs)
+        # Depth first with an explicit stack of the keys still missing: the
+        # dependency chain is ~n deep, past Python's recursion limit near
+        # n = 1000. The top key is computed once its three inputs exist.
+        stack = [] if key in memo else [key]
+        while stack:
+            top = stack[-1]
+            n, m = top
+            if n == m:
+                memo[top] = rho**n
+                stack.pop()
+                continue
+            left_key = (n - 1, abs(m - 1))
+            right_key = (n - 1, m + 1)
+            below_key = (n - 2, m)
+            left = memo.get(left_key)
+            right = memo.get(right_key)
+            below = memo.get(below_key)
+            if left is None:
+                stack.append(left_key)
+            elif right is None:
+                stack.append(right_key)
+            elif below is None:
+                stack.append(below_key)
+            else:
+                memo[top] = rho * (left + right) - below
+                stack.pop()
+        out[:, col] = memo[key]
     return out
 
 

@@ -108,12 +108,43 @@ def _eval_terms_rational(terms, a: int, b: int) -> tuple[int, int]:
     return acc * a**prev_e, b**top
 
 
-def _eval_terms_float(terms, a: int, b: int) -> float:
-    """Exact value of the terms at a/b, correctly rounded once to binary64."""
-    num, den = _eval_terms_rational(terms, a, b)
-    if num == 0:
-        return 0.0
-    return num / den  # big-int true division is correctly rounded
+def _exact_columns(
+    polys: Sequence[ExactRadialPoly], points: Sequence[Fraction]
+) -> list[list[float]]:
+    """Exact values of every polynomial at every point, rounded once to binary64.
+
+    Returns one list of len(points) floats per polynomial. Points are grouped
+    by reduced denominator b. Within a group each polynomial's coefficient of
+    rho^e is scaled by b^(top-e) once, so the Horner step per point is
+    ``acc * a**2 + C`` on the numerator a alone, with a**2 and a**low shared by
+    every polynomial. The integers are those of ``_eval_terms_rational``;
+    each entry is one correctly rounded big-int division by b**top.
+    """
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, p in enumerate(points):
+        groups.setdefault(p.denominator, []).append((i, p.numerator))
+    columns = [[0.0] * len(points) for _ in polys]
+    for b, members in groups.items():
+        squares = [(i, a, a * a) for i, a in members]
+        low_powers: dict[int, list[int]] = {}
+        for poly, column in zip(polys, columns):
+            terms = poly.terms
+            if not terms:
+                continue
+            top, low = terms[0][0], terms[-1][0]
+            # exponents step by 2, so each Horner step multiplies by a**2
+            scaled = [c * b ** (top - e) for e, c in terms]
+            head, tail = scaled[0], scaled[1:]
+            den = b**top
+            powers = low_powers.get(low)
+            if powers is None:
+                powers = low_powers[low] = [a**low for _, a in members]
+            for (i, a, a2), a_low in zip(squares, powers):
+                acc = head
+                for c in tail:
+                    acc = acc * a2 + c
+                column[i] = acc * a_low / den  # correctly rounded
+    return columns
 
 
 def _as_fractions(grid) -> tuple[Fraction, ...]:
@@ -148,24 +179,21 @@ def oracle_table(modes: ModeSet, grid, deriv_order: int = 0) -> EvalMatrix:
         raise ValueError(f"derivative order must be 0..3, got {deriv_order}")
     modes = tuple(modes)
     points = _as_fractions(grid)
+    slots: dict[tuple[int, int], int] = {}
+    for mode in modes:
+        slots.setdefault((mode.n, mode.m_abs), len(slots))
+    polys = []
+    for n, m_abs in slots:
+        poly = radial_coefficients(n, m_abs)
+        if deriv_order:
+            poly = differentiate_exact(poly, deriv_order)
+        polys.append(poly)
+    columns = np.array(_exact_columns(polys, points), dtype=np.float64).reshape(
+        len(polys), len(points)
+    )
     values = np.empty((len(points), len(modes)), dtype=np.float64)
-    cache: dict[tuple[int, int], np.ndarray] = {}
     for col, mode in enumerate(modes):
-        key = (mode.n, mode.m_abs)
-        column = cache.get(key)
-        if column is None:
-            poly = radial_coefficients(mode.n, mode.m_abs)
-            if deriv_order:
-                poly = differentiate_exact(poly, deriv_order)
-            column = np.array(
-                [
-                    _eval_terms_float(poly.terms, p.numerator, p.denominator)
-                    for p in points
-                ],
-                dtype=np.float64,
-            )
-            cache[key] = column
-        values[:, col] = column
+        values[:, col] = columns[slots[mode.n, mode.m_abs]]
     return EvalMatrix(values=values, modes=modes, deriv_order=deriv_order)
 
 
@@ -252,27 +280,76 @@ def _significand_to_float(mant: int, exp: int) -> float:
 def _simulated_direct_value(
     coeffs: Sequence[tuple[int, int]], m_abs: int, x: tuple[int, int], bits: int
 ) -> tuple[int, int]:
-    """Direct-sum evaluation in p-bit arithmetic.
+    """Direct-sum evaluation in p-bit arithmetic at one point.
 
     Mirrors the binary64 baseline: Horner over descending exponents in
     u = x*x, then one multiply by x**m. ``coeffs`` are the pre-rounded
     integer coefficients as (mant, exp) pairs, descending exponent order.
     """
     xm, xe = x
-    um, ue = _round_significand(xm * xm, xe + xe, bits)
-    am, ae = coeffs[0]
-    for cm, ce in coeffs[1:]:
-        am, ae = _round_significand(am * um, ae + ue, bits)
-        shared = min(ae, ce)
-        am, ae = _round_significand(
-            (am << (ae - shared)) + (cm << (ce - shared)), shared, bits
-        )
-    if m_abs and xm == 0:
-        return 0, 0
-    if m_abs:
-        pm, pe = _round_significand(xm**m_abs, xe * m_abs, bits)
-        am, ae = _round_significand(am * pm, ae + pe, bits)
-    return am, ae
+    u = _round_significand(xm * xm, xe + xe, bits)
+    powers = [_round_significand(xm**m_abs, xe * m_abs, bits)] if m_abs else None
+    return _simulated_direct_column(coeffs, [u], powers, bits)[0]
+
+
+def _simulated_direct_column(
+    coeffs: Sequence[tuple[int, int]],
+    us: Sequence[tuple[int, int]],
+    powers: Sequence[tuple[int, int]] | None,
+    bits: int,
+) -> list[tuple[int, int]]:
+    """`_simulated_direct_value` of one polynomial at every point.
+
+    ``us`` holds each point's rounded u = x*x and ``powers`` its rounded
+    x**|m| (None for m = 0), so that all polynomials share them. Every
+    product and sum of the Horner loop is rounded to ``bits``, half-even.
+    """
+    (head_m, head_e), tail = coeffs[0], coeffs[1:]
+    out = []
+    for point, (um, ue) in enumerate(us):
+        am, ae = head_m, head_e
+        for cm, ce in tail:
+            # Both roundings below are _round_significand(mant, ae, bits)
+            # inlined. am keeps the round bit below the kept bits; it rounds
+            # up when that bit is set and the kept bits are odd or any bit
+            # below it is set. bit_length() ignores the sign, and >> and &
+            # floor towards -inf, so the same test holds for mant < 0.
+            mant = am * um
+            ae += ue
+            drop = mant.bit_length() - bits
+            if drop > 0:
+                drop -= 1
+                am = mant >> drop
+                if am & 1 and (am & 2 or mant & ((1 << drop) - 1)):
+                    am += 2
+                am >>= 1
+                ae += drop + 1
+            else:
+                am = mant
+                if not mant:
+                    ae = 0
+            if ae <= ce:
+                mant = am + (cm << (ce - ae))
+            else:
+                mant = (am << (ae - ce)) + cm
+                ae = ce
+            drop = mant.bit_length() - bits
+            if drop > 0:
+                drop -= 1
+                am = mant >> drop
+                if am & 1 and (am & 2 or mant & ((1 << drop) - 1)):
+                    am += 2
+                am >>= 1
+                ae += drop + 1
+            else:
+                am = mant
+                if not mant:
+                    ae = 0
+        if powers is not None:
+            pm, pe = powers[point]
+            am, ae = _round_significand(am * pm, ae + pe, bits)
+        out.append((am, ae))
+    return out
 
 
 def precision_sweep(
@@ -303,10 +380,7 @@ def precision_sweep(
         for n in range(n_max + 1)
         for m in range(n % 2, n + 1, 2)
     ]
-    references = [
-        [_eval_terms_float(p.terms, pt.numerator, pt.denominator) for pt in points]
-        for p in polys
-    ]
+    references = _exact_columns(polys, points)
 
     results: list[tuple[int, float]] = []
     for bits in bits_list:
@@ -314,15 +388,19 @@ def precision_sweep(
             _significand_from_fraction(pt.numerator, pt.denominator, bits)
             for pt in points
         ]
+        us = [_round_significand(xm * xm, xe + xe, bits) for xm, xe in xs]
+        powers: dict[int, list[tuple[int, int]]] = {}
         worst = 0.0
         for poly, refs in zip(polys, references):
             coeffs = [_round_significand(c, 0, bits) for _, c in poly.terms]
             m_abs = poly.m_abs
-            for x, ref in zip(xs, refs):
-                value = _significand_to_float(
-                    *_simulated_direct_value(coeffs, m_abs, x, bits)
-                )
-                dev = abs(value - ref)
+            if m_abs and m_abs not in powers:
+                powers[m_abs] = [
+                    _round_significand(xm**m_abs, xe * m_abs, bits) for xm, xe in xs
+                ]
+            column = _simulated_direct_column(coeffs, us, powers.get(m_abs), bits)
+            for (mant, exp), ref in zip(column, refs):
+                dev = abs(_significand_to_float(mant, exp) - ref)
                 if dev > worst:
                     worst = dev
         results.append((bits, worst))

@@ -77,6 +77,17 @@ def test_accuracy_rejects_bad_arguments(runner, tmp_path):
     )
 
 
+def test_accuracy_rejects_negative_k_max(runner):
+    result = runner.invoke(main, ["accuracy", "--n-max", "2", "--k-max", "-1"])
+    assert result.exit_code == 2
+    assert "k_max must be in 0..3" in result.output
+
+
+def test_run_accuracy_rejects_k_max_above_three():
+    with pytest.raises(ValueError, match="k_max must be in 0..3, got 4"):
+        run_accuracy(2, methods=("jacobi",), grid_size=5, k_max=4)
+
+
 def test_accuracy_unwritable_output_is_io_error(runner):
     result = runner.invoke(
         main, ["accuracy", "--n-max", "2", "--output", "/nonexistent/dir/out.csv"]

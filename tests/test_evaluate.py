@@ -171,6 +171,15 @@ def test_radial_ztt_matches_oracle(grid100, rational100):
     assert one == pytest.approx(float(exact.values[0, 0]), abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [0, 40])
+def test_radial_ztt_past_the_recursion_limit(m):
+    # the memo walk is ~n deep, which a recursive walk cannot reach at n = 1024
+    grid = zk.linear_radial_grid(16)
+    ztt = radial_ztt(1024, m, grid)
+    assert np.all(np.isfinite(ztt))
+    assert np.max(np.abs(ztt - radial_jacobi(1024, m, grid))) <= 1e-9
+
+
 def test_stable_regime_baselines(grid100, rational100):
     # both baselines track the oracle at low degree; the direct sum's
     # cancellation at rho near 1 caps out around 3e-10 by n = 20

@@ -159,6 +159,31 @@ def test_oracle_table_accepts_floats_exactly():
     assert np.array_equal(via_float.values[:, 0], via_float.values[:, 1])
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_oracle_table_matches_eval_exact_on_mixed_denominators(k):
+    # points fall into many denominator groups: 1 (0 and 1), 2**1074, 2**55
+    # (binary64 0.1), the divisors of 99 (i/99 reduces to 1/3, 1/9, 1/11, ...)
+    # and 7
+    grid = (
+        [Fraction(0), Fraction(1), Fraction(5e-324), Fraction(0.1)]
+        + [Fraction(i, 99) for i in range(100)]
+        + [Fraction(i, 7) for i in range(8)]
+    )
+    pairs = [(n, m) for n in range(21) for m in range(-n, n + 1, 2)]
+    pairs += [(6, 2), (6, -2), (20, 0), (0, 0)]  # duplicate columns
+    modes = zk.as_mode_set(pairs)
+    table = oracle_table(modes, grid, k)
+    expected = {}
+    for col, mode in enumerate(modes):
+        key = (mode.n, mode.m_abs)
+        if key not in expected:
+            poly = radial_coefficients(*key)
+            if k:
+                poly = differentiate_exact(poly, k)
+            expected[key] = [float(eval_exact(poly, rho)) for rho in grid]
+        assert table.values[:, col].tolist() == expected[key], (mode, k)
+
+
 def test_oracle_table_rejects_out_of_range_grid():
     with pytest.raises(GridError):
         oracle_table(zk.as_mode_set([(0, 0)]), [Fraction(5, 4)], 0)

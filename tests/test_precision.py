@@ -9,6 +9,7 @@ from zernkit.exact import (
     _round_significand,
     _significand_from_fraction,
     _significand_to_float,
+    _simulated_direct_column,
     _simulated_direct_value,
     precision_sweep,
 )
@@ -129,6 +130,90 @@ def test_binary64_deviation_grows_past_unity_at_degree_50():
     grid = zk.rational_radial_grid(100)
     (_, dev), = precision_sweep(50, [53], grid)
     assert dev > 1.0
+
+
+def reference_direct_value(coeffs, m_abs, x, bits):
+    """The simulator's evaluation order, one _round_significand per operation."""
+    xm, xe = x
+    um, ue = _round_significand(xm * xm, xe + xe, bits)
+    am, ae = coeffs[0]
+    for cm, ce in coeffs[1:]:
+        am, ae = _round_significand(am * um, ae + ue, bits)
+        shared = min(ae, ce)
+        am, ae = _round_significand(
+            (am << (ae - shared)) + (cm << (ce - shared)), shared, bits
+        )
+    if m_abs and xm == 0:
+        return 0, 0
+    if m_abs:
+        pm, pe = _round_significand(xm**m_abs, xe * m_abs, bits)
+        am, ae = _round_significand(am * pm, ae + pe, bits)
+    return am, ae
+
+
+radial_modes = st.integers(0, 30).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n // 2).map(lambda j: n - 2 * j))
+)
+unit_points = st.lists(
+    st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 4)]),
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(radial_modes, unit_points, st.integers(24, 200))
+@settings(max_examples=200, deadline=None)
+def test_simulated_direct_matches_round_by_round_reference(nm, points, bits):
+    n, m = nm
+    poly = zk.radial_coefficients(n, m)
+    coeffs = [_round_significand(c, 0, bits) for _, c in poly.terms]
+    xs = [_significand_from_fraction(p.numerator, p.denominator, bits) for p in points]
+    want = [reference_direct_value(coeffs, m, x, bits) for x in xs]
+    assert [_simulated_direct_value(coeffs, m, x, bits) for x in xs] == want
+    us = [_round_significand(xm * xm, xe + xe, bits) for xm, xe in xs]
+    powers = [_round_significand(xm**m, xe * m, bits) for xm, xe in xs] if m else None
+    assert _simulated_direct_column(coeffs, us, powers, bits) == want
+
+
+@given(
+    st.lists(st.integers(-(1 << 26), 1 << 26), min_size=1, max_size=8),
+    st.integers(0, 3),
+    st.integers(0, 1 << 13),
+    st.integers(-14, 0),
+    st.integers(0, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_simulated_direct_rounds_ties_signs_and_carries_like_reference(
+    mants, coeff_exp, xm, xe, m_abs
+):
+    # 24-bit arithmetic on signed 27-bit coefficients and short dyadic points
+    # hits exact ties, both signs and carries to 2**24 often
+    bits = 24
+    coeffs = [_round_significand(c, coeff_exp, bits) for c in mants]
+    x = (xm, xe)
+    assert _simulated_direct_value(coeffs, m_abs, x, bits) == reference_direct_value(
+        coeffs, m_abs, x, bits
+    )
+
+
+def test_simulated_direct_carry_and_ties_examples():
+    bits = 24
+    top = (1 << bits) - 1  # 24 bits
+    one = (1, 0)  # x = 1, so u = 1
+    # (2**24 - 1) * 2 + 1 = 2**25 - 1: a tie with an odd head carries to 2**24
+    assert _simulated_direct_value([(top, 1), (1, 0)], 0, one, bits) == (1 << bits, 1)
+    assert _simulated_direct_value([(-top, 1), (-1, 0)], 0, one, bits) == (
+        -(1 << bits),
+        1,
+    )
+    # 2**25 - 3 is a tie with an even head: it stays
+    assert _simulated_direct_value([(top - 1, 1), (-1, 0)], 0, one, bits) == (
+        top - 1,
+        1,
+    )
 
 
 @pytest.mark.parametrize("bits", [153, 160, 170, 181])
