@@ -2,9 +2,10 @@
 
 The production evaluator maps radial polynomials onto Jacobi chains and runs
 the stable three-term recursion (values and rho-derivatives to third order);
-an exact big-integer/rational oracle certifies every float path; batch
-strategies trade shared-chain caching against cache-free data parallelism;
-the CLI reproduces the accuracy, timing and precision studies.
+an exact big-integer/rational oracle certifies every float path; the batch
+strategies, shared chains per azimuthal group or one chain per mode, are
+two plans for one single-threaded engine; the CLI reproduces the accuracy,
+timing and precision studies.
 """
 
 from .batch import (

@@ -1,36 +1,39 @@
-"""Batch evaluation of a mode set with two strategies.
+"""Batch evaluation of a mode set: two strategies, one engine.
 
-``cached`` shares one Jacobi chain per azimuthal group (the chain for the
-highest degree contains every lower degree), ``independent`` recomputes each
-unique mode's chain from scratch, data-parallel with no shared state. Both
-run the identical recurrence in the identical order, so their outputs are
-bit-for-bit equal; the step counters expose how much recomputation the
+A strategy is a plan of Jacobi chains. ``cached`` shares one chain per
+azimuthal group (the chain for the highest degree contains every lower
+degree); ``independent`` recomputes each unique mode's chain from scratch.
+One single-threaded executor runs either plan with the identical recurrence
+in the identical order, so their outputs are bit-for-bit equal; the step
+counter, summed over the plan that ran, shows how much recomputation the
 cache avoids.
 
-Both write each unique radial result straight into the rows it serves of one
-C-contiguous (modes, points) buffer; a duplicate mode costs one row copy.
-``EvalMatrix.values`` is that buffer's transpose: points by modes,
-Fortran-ordered.
+The executor writes each unique radial result straight into the rows it
+serves of one C-contiguous (modes, points) buffer; a duplicate mode costs
+one row copy. ``EvalMatrix.values`` is that buffer's transpose: points by
+modes, Fortran-ordered.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evaluate import (
-    MAX_DERIV_ORDER,
     assemble_radial,
     jacobi_argument,
     jacobi_chain,
     jacobi_recursion_steps,
 )
 from .modes import DedupPlan, ModeSet, as_mode_set, dedup_plan
-from .tables import EvalMatrix, radial_grid
+from .tables import EvalMatrix, check_deriv_order, radial_grid
 
 STRATEGIES = ("cached", "independent")
+
+# (alpha, chain degree per shift 0..k, [(jacobi degree, output rows)]);
+# a negative chain degree means that shift needs no chain
+ChainGroup = tuple[int, range, list[tuple[int, list[int]]]]
 
 
 @dataclass(frozen=True)
@@ -53,150 +56,114 @@ class BatchRequest:
     def __post_init__(self):
         object.__setattr__(self, "modes", as_mode_set(self.modes))
         object.__setattr__(self, "grid", radial_grid(self.grid))
-        if self.deriv_order not in range(MAX_DERIV_ORDER + 1):
-            raise ValueError(
-                f"derivative order must be 0..{MAX_DERIV_ORDER}, got {self.deriv_order}"
-            )
+        check_deriv_order(self.deriv_order)
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
 
 
-def _alpha_groups(plan: DedupPlan) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Unique keys grouped by alpha = |m| as (alpha, [(slot, jacobi degree)])."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for slot, (n, alpha) in enumerate(plan.unique_keys):
-        groups.setdefault(alpha, []).append((slot, (n - alpha) // 2))
-    return sorted(groups.items())
+def _chain_plan(
+    plan: DedupPlan, strategy: str, deriv_order: int
+) -> tuple[list[ChainGroup], StepCounter]:
+    """The chains a strategy runs for this plan, and the work they cost.
+
+    ``cached`` groups the unique keys by alpha = |m| and runs each shift's
+    chain once, to the group's highest degree; ``independent`` makes every
+    unique key its own group. This is the only place that knows the
+    difference.
+    """
+    rows: list[list[int]] = [[] for _ in plan.unique_keys]
+    for row, slot in enumerate(plan.scatter):
+        rows[slot].append(row)
+    groups: list[ChainGroup] = []
+    if strategy == "cached":
+        by_alpha: dict[int, list[tuple[int, list[int]]]] = {}
+        for (n, alpha), served in zip(plan.unique_keys, rows):
+            by_alpha.setdefault(alpha, []).append(((n - alpha) // 2, served))
+        for alpha in sorted(by_alpha):
+            entries = by_alpha[alpha]
+            j_max = max(j for j, _ in entries)
+            groups.append((alpha, range(j_max, j_max - deriv_order - 1, -1), entries))
+    else:
+        for (n, alpha), served in zip(plan.unique_keys, rows):
+            j = (n - alpha) // 2
+            groups.append((alpha, range(j, j - deriv_order - 1, -1), [(j, served)]))
+    steps = 0
+    chains = 0
+    for _, degrees, _ in groups:
+        for degree in degrees:
+            if degree >= 0:
+                steps += jacobi_recursion_steps(degree)
+                chains += 1
+    return groups, StepCounter(recursion_steps=steps, chain_count=chains)
 
 
 def cached_step_counter(plan: DedupPlan, deriv_order: int) -> StepCounter:
     """Steps/chains the cached strategy performs for this plan."""
-    steps = 0
-    chains = 0
-    for _, entries in _alpha_groups(plan):
-        j_max = max(j for _, j in entries)
-        for i in range(deriv_order + 1):
-            degree = j_max - i
-            if degree >= 0:
-                steps += jacobi_recursion_steps(degree)
-                chains += 1
-    return StepCounter(recursion_steps=steps, chain_count=chains)
+    return _chain_plan(plan, "cached", deriv_order)[1]
 
 
 def independent_step_counter(plan: DedupPlan, deriv_order: int) -> StepCounter:
     """Steps/chains the independent strategy performs for this plan."""
-    steps = 0
-    chains = 0
-    for n, alpha in plan.unique_keys:
-        j = (n - alpha) // 2
-        for i in range(deriv_order + 1):
-            degree = j - i
-            if degree >= 0:
-                steps += jacobi_recursion_steps(degree)
-                chains += 1
-    return StepCounter(recursion_steps=steps, chain_count=chains)
+    return _chain_plan(plan, "independent", deriv_order)[1]
 
 
-def _served_rows(plan: DedupPlan) -> list[list[int]]:
-    """Output rows each unique slot serves: ``plan.scatter`` inverted."""
-    rows: list[list[int]] = [[] for _ in plan.unique_keys]
-    for row, slot in enumerate(plan.scatter):
-        rows[slot].append(row)
-    return rows
-
-
-def batch_cached(
-    request: BatchRequest, parallel: bool = False
-) -> tuple[EvalMatrix, StepCounter]:
-    """Evaluate with one shared Jacobi chain per (alpha, shift) group.
-
-    Within a group the chain runs once to the maximum needed degree and every
-    requested degree is read out of it. Output columns follow the request's
-    mode order, duplicates included.
-    """
-    if request.strategy != "cached":
-        raise ValueError(f"request strategy is {request.strategy!r}, expected 'cached'")
-    plan = dedup_plan(request.modes)
+def _execute(request: BatchRequest, strategy: str) -> tuple[EvalMatrix, StepCounter]:
+    """Run the request's chain plan; columns follow the request's mode order."""
+    if request.strategy != strategy:
+        raise ValueError(
+            f"request strategy is {request.strategy!r}, expected {strategy!r}"
+        )
     rho = request.grid
     u = jacobi_argument(rho)
     k = request.deriv_order
     zeros = np.zeros_like(rho)
-    groups = _alpha_groups(plan)
-    rows = _served_rows(plan)
+    groups, counter = _chain_plan(dedup_plan(request.modes), strategy, k)
     out = np.empty((len(request.modes), rho.size), dtype=np.float64)
-
-    def run_group(item):
-        alpha, entries = item
-        j_max = max(j for _, j in entries)
+    for alpha, degrees, entries in groups:
         chains = [
-            jacobi_chain(j_max - i, alpha + i, i, u) if j_max - i >= 0 else None
-            for i in range(k + 1)
+            jacobi_chain(degree, alpha + i, i, u) if degree >= 0 else None
+            for i, degree in enumerate(degrees)
         ]
-        for slot, j in entries:
+        for j, rows in entries:
             per_mode = [
                 chains[i][j - i] if j - i >= 0 else zeros for i in range(k + 1)
             ]
             value = assemble_radial(rho, alpha, j, k, per_mode)
-            for row in rows[slot]:
+            for row in rows:
                 out[row] = value
-
-    if parallel and len(groups) > 1:
-        with ThreadPoolExecutor() as pool:
-            list(pool.map(run_group, groups))
-    else:
-        for item in groups:
-            run_group(item)
-    return EvalMatrix(out.T, request.modes, k), cached_step_counter(plan, k)
+        # free this group's chains before the next group allocates its own:
+        # kept alive across that call, they cost 2-5x the minor page faults
+        del chains, per_mode, value
+    return EvalMatrix(out.T, request.modes, k), counter
 
 
-def batch_independent(
-    request: BatchRequest, parallel: bool = False
-) -> tuple[EvalMatrix, StepCounter]:
+def batch_cached(request: BatchRequest) -> tuple[EvalMatrix, StepCounter]:
+    """Evaluate with one shared Jacobi chain per (alpha, shift) group.
+
+    Within a group the chain runs once to the maximum needed degree and every
+    requested degree is read out of it.
+    """
+    return _execute(request, "cached")
+
+
+def batch_independent(request: BatchRequest) -> tuple[EvalMatrix, StepCounter]:
     """Evaluate every unique mode's chain from scratch, no shared cache.
 
     The per-degree recurrence and the assembly are the same code the cached
     strategy runs, so the result is bitwise identical; only the amount of
     recomputation differs.
     """
-    if request.strategy != "independent":
-        raise ValueError(
-            f"request strategy is {request.strategy!r}, expected 'independent'"
-        )
-    plan = dedup_plan(request.modes)
-    rho = request.grid
-    u = jacobi_argument(rho)
-    k = request.deriv_order
-    zeros = np.zeros_like(rho)
-    rows = _served_rows(plan)
-    out = np.empty((len(request.modes), rho.size), dtype=np.float64)
-
-    def run_key(item):
-        slot, (n, alpha) = item
-        j = (n - alpha) // 2
-        per_mode = [
-            jacobi_chain(j - i, alpha + i, i, u)[j - i] if j - i >= 0 else zeros
-            for i in range(k + 1)
-        ]
-        value = assemble_radial(rho, alpha, j, k, per_mode)
-        for row in rows[slot]:
-            out[row] = value
-
-    items = list(enumerate(plan.unique_keys))
-    if parallel and len(items) > 1:
-        with ThreadPoolExecutor() as pool:
-            list(pool.map(run_key, items))
-    else:
-        for item in items:
-            run_key(item)
-    return EvalMatrix(out.T, request.modes, k), independent_step_counter(plan, k)
+    return _execute(request, "independent")
 
 
 def evaluate_batch(
     request: BatchRequest, parallel: bool = False
 ) -> tuple[EvalMatrix, StepCounter]:
-    """Dispatch on the request's strategy."""
-    if request.strategy == "cached":
-        return batch_cached(request, parallel=parallel)
-    return batch_independent(request, parallel=parallel)
+    """Run the request's strategy.
+
+    ``parallel`` is accepted for compatibility and ignored: evaluation is
+    single-threaded.
+    """
+    return _execute(request, request.strategy)

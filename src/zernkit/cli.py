@@ -24,7 +24,13 @@ from .batch import BatchRequest, evaluate_batch
 from .exact import max_abs_error, oracle_table, precision_sweep
 from .evaluate import radial_direct, radial_ztt_table, zernike_eval
 from .modes import Mode, ModeError, ModeSet, full_mode_set, make_mode
-from .tables import EvalMatrix, GridError, linear_radial_grid, rational_radial_grid
+from .tables import (
+    EvalMatrix,
+    GridError,
+    check_deriv_order,
+    linear_radial_grid,
+    rational_radial_grid,
+)
 
 METHODS = ("jacobi", "direct", "ztt")
 ACCURACY_HEADER = ("n", "m", "k", "method", "max_abs_err")
@@ -76,14 +82,12 @@ def _radial_sweep_modes(n_max: int) -> ModeSet:
     )
 
 
-def _candidate_matrix(
-    method: str, modes: ModeSet, grid, deriv_order: int, serial: bool
-) -> EvalMatrix:
+def _candidate_matrix(method: str, modes: ModeSet, grid, deriv_order: int) -> EvalMatrix:
     if method == "jacobi":
         request = BatchRequest(
             modes=modes, grid=grid, deriv_order=deriv_order, strategy="cached"
         )
-        return evaluate_batch(request, parallel=not serial)[0]
+        return evaluate_batch(request)[0]
     if method == "direct":
         values = np.empty((len(grid), len(modes)), dtype=np.float64)
         for col, mode in enumerate(modes):
@@ -110,11 +114,11 @@ def run_accuracy(
     Sweeps every (n, m >= 0) mode with n <= n_max on grid_size linearly
     spaced points; the oracle evaluates the exact rationals i/(P-1), the
     candidates their binary64 roundings. ztt rows exist only for k = 0.
+    ``serial`` is accepted for compatibility: evaluation is single-threaded.
     """
     if n_max < 0 or n_max > MAX_ACCURACY_N:
         raise ValueError(f"n_max must be in 0..{MAX_ACCURACY_N}, got {n_max}")
-    if k_max not in (0, 1, 2, 3):
-        raise ValueError(f"k_max must be in 0..3, got {k_max}")
+    check_deriv_order(k_max, "k_max")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
@@ -127,7 +131,7 @@ def run_accuracy(
         for method in methods:
             if method == "ztt" and k:
                 continue
-            candidate = _candidate_matrix(method, modes, float_points, k, serial)
+            candidate = _candidate_matrix(method, modes, float_points, k)
             for err in max_abs_error(candidate, reference):
                 rows.append(AccuracyRow(err.n, err.m, k, method, err.max_abs_err))
     order = {m: i for i, m in enumerate(methods)}
@@ -194,6 +198,7 @@ def run_bench(
     ztt) are timed per-mode with strategy label ``permode``; recursion_steps
     counts Jacobi recursion applications, so baseline rows record 0. Records
     are ordered by resolution, then grid size, method and strategy as given.
+    ``serial`` is accepted for compatibility: evaluation is single-threaded.
     """
     if n_min < 0 or n_min > n_max:
         raise ValueError(f"need 0 <= n_min <= n_max, got {n_min}..{n_max}")
@@ -220,14 +225,10 @@ def run_bench(
                         request = BatchRequest(
                             modes=modes, grid=grid, deriv_order=0, strategy=strategy
                         )
-                        call = functools.partial(
-                            evaluate_batch, request, parallel=not serial
-                        )
+                        call = functools.partial(evaluate_batch, request)
                         steps = call()[1].recursion_steps  # also the warm-up
                     else:
-                        call = functools.partial(
-                            _candidate_matrix, method, modes, grid, 0, serial
-                        )
+                        call = functools.partial(_candidate_matrix, method, modes, grid, 0)
                         call()  # untimed warm-up
                         steps = 0
                     record = BenchRecord(
@@ -271,37 +272,42 @@ def _write_csv(handle, header, rows) -> None:
         writer.writerow(row)
 
 
-def read_accuracy_csv(path) -> list[AccuracyRow]:
+def _read_csv(path, header: Sequence[str], convert) -> list:
+    """Rows of a CSV file written under ``header``, each passed to ``convert``."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = tuple(next(reader))
-        if header != ACCURACY_HEADER:
-            raise ValueError(f"unexpected header {header}")
-        return [
-            AccuracyRow(int(n), int(m), int(k), method, float(err))
-            for n, m, k, method, err in reader
-        ]
+        found = tuple(next(reader))
+        if found != header:
+            raise ValueError(f"unexpected header {found}")
+        rows = list(reader)
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+    return [convert(*row) for row in rows]
+
+
+def read_accuracy_csv(path) -> list[AccuracyRow]:
+    return _read_csv(
+        path,
+        ACCURACY_HEADER,
+        lambda n, m, k, method, err: AccuracyRow(
+            int(n), int(m), int(k), method, float(err)
+        ),
+    )
 
 
 def read_bench_csv(path) -> list[BenchRecord]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader))
-        if header != BENCH_HEADER:
-            raise ValueError(f"unexpected header {header}")
-        return [
-            BenchRecord(m, s, int(r), int(g), int(w), int(steps), int(reps))
-            for m, s, r, g, w, steps, reps in reader
-        ]
+    return _read_csv(
+        path,
+        BENCH_HEADER,
+        lambda m, s, r, g, w, steps, reps: BenchRecord(
+            m, s, int(r), int(g), int(w), int(steps), int(reps)
+        ),
+    )
 
 
 def read_precision_csv(path) -> list[tuple[int, float]]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader))
-        if header != PRECISION_HEADER:
-            raise ValueError(f"unexpected header {header}")
-        return [(int(bits), float(dev)) for bits, dev in reader]
+    return _read_csv(path, PRECISION_HEADER, lambda bits, dev: (int(bits), float(dev)))
 
 
 def _parse_mode_file(path) -> ModeSet:
@@ -378,12 +384,12 @@ def main():
 )
 @click.option("--grid-size", type=int, default=100, show_default=True)
 @click.option("--k-max", type=int, default=0, show_default=True)
-@click.option("--serial", is_flag=True, help="Force single-threaded evaluation.")
+@click.option("--serial", is_flag=True, help="No-op: evaluation is single-threaded.")
 @click.option("--output", default="-", show_default=True, help="CSV path or - for stdout.")
 def accuracy_command(n_max, methods, grid_size, k_max, serial, output):
     """Max-abs error of each method vs the exact oracle, per (n, m, k)."""
     try:
-        rows = run_accuracy(n_max, methods, grid_size, k_max, serial)
+        rows = run_accuracy(n_max, methods, grid_size, k_max)
     except (ModeError, GridError, ValueError) as exc:
         raise click.UsageError(str(exc))
     _write_rows(
@@ -422,14 +428,12 @@ def accuracy_command(n_max, methods, grid_size, k_max, serial, output):
     show_default=True,
 )
 @click.option("--reps", type=int, default=5, show_default=True)
-@click.option("--serial", is_flag=True, help="Force single-threaded evaluation.")
+@click.option("--serial", is_flag=True, help="No-op: evaluation is single-threaded.")
 @click.option("--output", default="-", show_default=True)
 def bench_command(n_min, n_max, step, grid_sizes, strategies, methods, reps, serial, output):
     """Wall time of full-set evaluation per resolution, grid and strategy."""
     try:
-        records = run_bench(
-            n_min, n_max, step, grid_sizes, strategies, reps, methods, serial
-        )
+        records = run_bench(n_min, n_max, step, grid_sizes, strategies, reps, methods)
     except (ModeError, GridError, ValueError) as exc:
         raise click.UsageError(str(exc))
     _write_rows(
@@ -462,7 +466,7 @@ def bench_command(n_min, n_max, step, grid_sizes, strategies, methods, reps, ser
     default="csv",
     show_default=True,
 )
-@click.option("--serial", is_flag=True, help="Force single-threaded evaluation.")
+@click.option("--serial", is_flag=True, help="No-op: evaluation is single-threaded.")
 @click.option("--output", default="-", show_default=True)
 def eval_command(modes_path, rho_path, theta_path, k, fmt, serial, output):
     """Evaluate modes at given points: full polynomials, or radial-only without --theta."""
@@ -472,7 +476,7 @@ def eval_command(modes_path, rho_path, theta_path, k, fmt, serial, output):
     try:
         if theta is None:
             request = BatchRequest(modes=modes, grid=rho, deriv_order=k, strategy="cached")
-            values = evaluate_batch(request, parallel=not serial)[0].values
+            values = evaluate_batch(request)[0].values
         else:
             values = np.empty((len(rho), len(modes)), dtype=np.float64)
             for col, mode in enumerate(modes):

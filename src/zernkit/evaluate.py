@@ -14,9 +14,7 @@ import numpy as np
 
 from .exact import differentiate_exact, radial_coefficients
 from .modes import Mode, ModeSet, make_mode
-from .tables import angular_grid, radial_grid
-
-MAX_DERIV_ORDER = 3
+from .tables import MAX_DERIV_ORDER, angular_grid, check_deriv_order, radial_grid
 
 
 def _radial_mode(n: int, m_abs: int) -> Mode:
@@ -171,8 +169,7 @@ def radial_jacobi(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
     ndarray, shape (len(grid),)
     """
     mode = _radial_mode(n, m_abs)
-    if deriv_order not in (0, 1, 2, 3):
-        raise ValueError(f"derivative order must be 0..{MAX_DERIV_ORDER}, got {deriv_order}")
+    check_deriv_order(deriv_order)
     rho = radial_grid(grid)
     u = jacobi_argument(rho)
     j = mode.jacobi_degree

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .modes import Mode, ModeSet, make_mode
-from .tables import EvalMatrix, GridError
+from .tables import EvalMatrix, GridError, check_deriv_order
 
 _MIN_SIGNIFICAND_BITS = 24  # binary32; anything below is meaningless here
 
@@ -175,8 +175,7 @@ def oracle_table(modes: ModeSet, grid, deriv_order: int = 0) -> EvalMatrix:
     EvalMatrix
         one correctly rounded binary64 entry per point and mode
     """
-    if deriv_order not in (0, 1, 2, 3):
-        raise ValueError(f"derivative order must be 0..3, got {deriv_order}")
+    check_deriv_order(deriv_order)
     modes = tuple(modes)
     points = _as_fractions(grid)
     slots: dict[tuple[int, int], int] = {}

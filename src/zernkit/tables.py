@@ -9,9 +9,17 @@ import numpy as np
 
 from .modes import ModeSet
 
+MAX_DERIV_ORDER = 3
+
 
 class GridError(ValueError):
     """Grid values outside the evaluator's domain."""
+
+
+def check_deriv_order(k: int, name: str = "derivative order") -> None:
+    """Reject a radial derivative order outside 0..MAX_DERIV_ORDER."""
+    if k not in range(MAX_DERIV_ORDER + 1):
+        raise ValueError(f"{name} must be in 0..{MAX_DERIV_ORDER}, got {k}")
 
 
 def radial_grid(values) -> np.ndarray:
@@ -63,8 +71,7 @@ class EvalMatrix:
     deriv_order: int
 
     def __post_init__(self):
-        if self.deriv_order not in (0, 1, 2, 3):
-            raise ValueError(f"derivative order must be 0..3, got {self.deriv_order}")
+        check_deriv_order(self.deriv_order)
         if self.values.ndim != 2 or self.values.shape[1] != len(self.modes):
             raise ValueError(
                 f"values shape {self.values.shape} does not match {len(self.modes)} modes"

@@ -131,20 +131,6 @@ def test_duplicate_modes_scatter_bitwise():
     assert counter.chain_count == 2
 
 
-def test_parallel_execution_is_bit_identical():
-    grid = zk.linear_radial_grid(64)
-    modes = full_mode_set(14)
-    for k in (0, 3):
-        cached_req, indep_req = request_pair(modes, grid, k)
-        serial, cs = batch_cached(cached_req, parallel=False)
-        threaded, ct = batch_cached(cached_req, parallel=True)
-        assert np.array_equal(serial.values, threaded.values)
-        assert cs == ct
-        serial_i, _ = batch_independent(indep_req, parallel=False)
-        threaded_i, _ = batch_independent(indep_req, parallel=True)
-        assert np.array_equal(serial_i.values, threaded_i.values)
-
-
 @pytest.mark.parametrize("strategy", ["cached", "independent"])
 def test_output_is_one_modes_major_buffer(strategy):
     grid = zk.linear_radial_grid(5000)
@@ -201,11 +187,14 @@ def test_counter_dominance_on_arbitrary_requests(modes, k):
     assert cached.chain_count <= independent.chain_count
 
 
-@given(st.lists(valid_mode, min_size=1, max_size=12), st.integers(0, 2))
+@given(st.lists(valid_mode, min_size=1, max_size=12), st.integers(0, 3))
 @settings(max_examples=20, deadline=None)
 def test_strategies_agree_on_arbitrary_requests(modes, k):
     grid = zk.linear_radial_grid(16)
     cached_req, indep_req = request_pair(tuple(modes), grid, k)
-    a, _ = batch_cached(cached_req)
-    b, _ = batch_independent(indep_req)
+    a, ca = batch_cached(cached_req)
+    b, cb = batch_independent(indep_req)
     assert np.array_equal(a.values, b.values)
+    plan = dedup_plan(tuple(modes))
+    assert ca == cached_step_counter(plan, k)
+    assert cb == independent_step_counter(plan, k)

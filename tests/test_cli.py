@@ -107,12 +107,6 @@ def test_accuracy_deterministic_bytes(runner, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_accuracy_parallel_matches_serial():
-    serial = run_accuracy(10, methods=("jacobi",), grid_size=40, k_max=2, serial=True)
-    threaded = run_accuracy(10, methods=("jacobi",), grid_size=40, k_max=2, serial=False)
-    assert serial == threaded
-
-
 def test_accuracy_ztt_skipped_for_derivatives():
     rows = run_accuracy(4, methods=("jacobi", "ztt"), grid_size=20, k_max=2)
     ztt_orders = {r.deriv_order for r in rows if r.method == "ztt"}
