@@ -14,7 +14,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Sequence
 
 import click
@@ -22,8 +22,8 @@ import numpy as np
 
 from .batch import BatchRequest, evaluate_batch
 from .exact import max_abs_error, oracle_table, precision_sweep
-from .evaluate import radial_direct, radial_ztt_table, zernike_eval
-from .modes import Mode, ModeError, ModeSet, full_mode_set, make_mode
+from .evaluate import angular_factor, pointwise_grids, radial_direct, radial_ztt_table
+from .modes import Mode, ModeError, ModeSet, full_mode_set, make_mode, radial_sweep_modes
 from .tables import (
     EvalMatrix,
     GridError,
@@ -75,13 +75,6 @@ class BenchRecord:
     repetitions: int
 
 
-def _radial_sweep_modes(n_max: int) -> ModeSet:
-    """All (n, m >= 0) modes with n <= n_max; the radial part ignores sign(m)."""
-    return tuple(
-        Mode(n, m) for n in range(n_max + 1) for m in range(n % 2, n + 1, 2)
-    )
-
-
 def _candidate_matrix(method: str, modes: ModeSet, grid, deriv_order: int) -> EvalMatrix:
     if method == "jacobi":
         request = BatchRequest(
@@ -122,7 +115,7 @@ def run_accuracy(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-    modes = _radial_sweep_modes(n_max)
+    modes = radial_sweep_modes(n_max)
     exact_points = rational_radial_grid(grid_size)
     float_points = linear_radial_grid(grid_size)
     rows: list[AccuracyRow] = []
@@ -254,22 +247,25 @@ def run_precision(
 # --- file I/O ----------------------------------------------------------------
 
 
-def _write_rows(output: str | None, header: Sequence[str], rows) -> None:
+def _write_output(output: str | None, write) -> None:
+    """Call ``write(handle)`` on the file ``output``, or on stdout for None or -."""
     try:
         if output in (None, "-"):
-            _write_csv(sys.stdout, header, rows)
+            write(sys.stdout)
         else:
             with open(output, "w", newline="") as handle:
-                _write_csv(handle, header, rows)
+                write(handle)
     except OSError as exc:
         raise OutputError(f"cannot write output: {exc}")
 
 
-def _write_csv(handle, header, rows) -> None:
-    writer = csv.writer(handle)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+def _write_rows(output: str | None, header: Sequence[str], rows) -> None:
+    def write(handle) -> None:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    _write_output(output, write)
 
 
 def _read_csv(path, header: Sequence[str], convert) -> list:
@@ -310,57 +306,48 @@ def read_precision_csv(path) -> list[tuple[int, float]]:
     return _read_csv(path, PRECISION_HEADER, lambda bits, dev: (int(bits), float(dev)))
 
 
-def _parse_mode_file(path) -> ModeSet:
-    modes = []
+def _parse_mode(text: str) -> Mode:
+    parts = text.split()
+    if len(parts) != 2:
+        raise ValueError(f"expected 'n m', got {text!r}")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"expected integers, got {text!r}") from None
+    try:
+        return make_mode(n, m)
+    except ModeError as exc:
+        raise ValueError(f"invalid mode ({n}, {m}): {exc}") from None
+
+
+def _parse_value(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"expected a decimal value, got {text!r}") from None
+
+
+def _parse_lines(path, parse, what: str) -> list:
+    """``parse`` of each non-blank line of ``path``; an empty file is a usage error.
+
+    A ValueError from ``parse`` becomes a usage error naming the file and
+    line; a file that cannot be read exits with the I/O error code.
+    """
+    items = []
     try:
         with open(path) as handle:
             for lineno, line in enumerate(handle, start=1):
                 text = line.strip()
-                if not text:
-                    continue
-                parts = text.split()
-                if len(parts) != 2:
-                    raise click.UsageError(
-                        f"{path}:{lineno}: expected 'n m', got {text!r}"
-                    )
-                try:
-                    n, m = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise click.UsageError(
-                        f"{path}:{lineno}: expected integers, got {text!r}"
-                    )
-                try:
-                    modes.append(make_mode(n, m))
-                except ModeError as exc:
-                    raise click.UsageError(
-                        f"{path}:{lineno}: invalid mode ({n}, {m}): {exc}"
-                    )
+                if text:
+                    try:
+                        items.append(parse(text))
+                    except ValueError as exc:
+                        raise click.UsageError(f"{path}:{lineno}: {exc}")
     except OSError as exc:
         raise OutputError(f"cannot read {path}: {exc}")
-    if not modes:
-        raise click.UsageError(f"{path}: no modes found")
-    return tuple(modes)
-
-
-def _parse_value_file(path) -> list[float]:
-    values = []
-    try:
-        with open(path) as handle:
-            for lineno, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise click.UsageError(
-                        f"{path}:{lineno}: expected a decimal value, got {text!r}"
-                    )
-    except OSError as exc:
-        raise OutputError(f"cannot read {path}: {exc}")
-    if not values:
-        raise click.UsageError(f"{path}: no values found")
-    return values
+    if not items:
+        raise click.UsageError(f"{path}: no {what} found")
+    return items
 
 
 # --- click wiring -------------------------------------------------------------
@@ -392,11 +379,7 @@ def accuracy_command(n_max, methods, grid_size, k_max, serial, output):
         rows = run_accuracy(n_max, methods, grid_size, k_max)
     except (ModeError, GridError, ValueError) as exc:
         raise click.UsageError(str(exc))
-    _write_rows(
-        output,
-        ACCURACY_HEADER,
-        [(r.n, r.m, r.deriv_order, r.method, r.max_abs_err) for r in rows],
-    )
+    _write_rows(output, ACCURACY_HEADER, map(astuple, rows))
 
 
 @main.command("bench")
@@ -436,22 +419,7 @@ def bench_command(n_min, n_max, step, grid_sizes, strategies, methods, reps, ser
         records = run_bench(n_min, n_max, step, grid_sizes, strategies, reps, methods)
     except (ModeError, GridError, ValueError) as exc:
         raise click.UsageError(str(exc))
-    _write_rows(
-        output,
-        BENCH_HEADER,
-        [
-            (
-                r.method,
-                r.strategy,
-                r.resolution,
-                r.grid_size,
-                r.wall_ns_median,
-                r.recursion_steps,
-                r.repetitions,
-            )
-            for r in records
-        ],
-    )
+    _write_rows(output, BENCH_HEADER, map(astuple, records))
 
 
 @main.command("eval")
@@ -470,47 +438,34 @@ def bench_command(n_min, n_max, step, grid_sizes, strategies, methods, reps, ser
 @click.option("--output", default="-", show_default=True)
 def eval_command(modes_path, rho_path, theta_path, k, fmt, serial, output):
     """Evaluate modes at given points: full polynomials, or radial-only without --theta."""
-    modes = _parse_mode_file(modes_path)
-    rho = _parse_value_file(rho_path)
-    theta = _parse_value_file(theta_path) if theta_path else None
+    modes = tuple(_parse_lines(modes_path, _parse_mode, "modes"))
+    rho = _parse_lines(rho_path, _parse_value, "values")
+    theta = _parse_lines(theta_path, _parse_value, "values") if theta_path else None
     try:
-        if theta is None:
-            request = BatchRequest(modes=modes, grid=rho, deriv_order=k, strategy="cached")
-            values = evaluate_batch(request)[0].values
-        else:
-            values = np.empty((len(rho), len(modes)), dtype=np.float64)
-            for col, mode in enumerate(modes):
-                values[:, col] = zernike_eval(mode, rho, theta, k)
+        angles = None if theta is None else pointwise_grids(rho, theta)[1]
+        values = _candidate_matrix("jacobi", modes, rho, k).values
     except (ModeError, GridError, ValueError) as exc:
         raise click.UsageError(str(exc))
+    if angles is not None:
+        for col, mode in enumerate(modes):
+            values[:, col] *= angular_factor(mode.m, angles)
 
-    prefix = "R" if theta is None else "Z"
-    labels = [f"{prefix}_{mode.n}_{mode.m}" for mode in modes]
+    table = values.tolist()
     if fmt == "csv":
-        header = (["rho", "theta"] if theta is not None else ["rho"]) + labels
-        rows = []
-        for idx in range(len(rho)):
-            lead = [rho[idx], theta[idx]] if theta is not None else [rho[idx]]
-            rows.append(lead + [float(v) for v in values[idx]])
-        _write_rows(output, header, rows)
+        prefix, lead = ("R", ["rho"]) if theta is None else ("Z", ["rho", "theta"])
+        header = lead + [f"{prefix}_{mode.n}_{mode.m}" for mode in modes]
+        points = zip(rho) if theta is None else zip(rho, theta)
+        _write_rows(output, header, ([*p, *row] for p, row in zip(points, table)))
     else:
         payload = {
             "modes": [[mode.n, mode.m] for mode in modes],
             "deriv_order": k,
-            "rho": list(rho),
-            "theta": list(theta) if theta is not None else None,
-            "values": [[float(v) for v in row] for row in values],
+            "rho": rho,
+            "theta": theta,
+            "values": table,
         }
-        try:
-            if output in (None, "-"):
-                json.dump(payload, sys.stdout, indent=2)
-                sys.stdout.write("\n")
-            else:
-                with open(output, "w") as handle:
-                    json.dump(payload, handle, indent=2)
-                    handle.write("\n")
-        except OSError as exc:
-            raise OutputError(f"cannot write output: {exc}")
+        text = json.dumps(payload, indent=2) + "\n"
+        _write_output(output, lambda handle: handle.write(text))
 
 
 @main.command("precision")

@@ -13,14 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 from .exact import differentiate_exact, radial_coefficients
-from .modes import Mode, ModeSet, make_mode
+from .modes import Mode, ModeSet, make_mode, radial_mode
 from .tables import MAX_DERIV_ORDER, angular_grid, check_deriv_order, radial_grid
 
-
-def _radial_mode(n: int, m_abs: int) -> Mode:
-    if m_abs < 0:
-        raise ValueError("m_abs must be non-negative")
-    return make_mode(n, m_abs)
+# Degree n from which assemble_radial checks that its output is finite.
+# Below it nothing can overflow. On [-1, 1], |P_j^(a,b)| <= C(j + a, j) for
+# a >= b >= 0, and every chain row that a mode of degree n reads (shift i:
+# a = |m| + i, j <= (n - |m|)/2 - i) has C(j + a, j) <= C(n - j, j) <= F(n + 1),
+# the Fibonacci number sum_s C(n - s, s) ~ phi**n, about 5e213 at n = 1023.
+# The recursion's coefficients (< 2 n**3) and the assembly's weights times
+# derivative scales (< 64 n**3) keep every product below 1e226, far under
+# binary64's 1.8e308. Past the gate the chain can overflow while rho**m
+# underflows, and 0 * inf is NaN: the first such output is (n, m) = (1439, 637).
+CHECKED_MIN_DEGREE = 1024
 
 
 def jacobi_argument(rho: np.ndarray) -> np.ndarray:
@@ -116,6 +121,7 @@ def assemble_radial(rho, m_abs: int, j: int, deriv_order: int, chains) -> np.nda
 
     Every evaluation path funnels through this one function with one fixed
     operation order, which is what makes batch strategies bit-identical.
+    From degree CHECKED_MIN_DEGREE on, a non-finite result raises ValueError.
     """
     m = m_abs
     sign = -1.0 if j & 1 else 1.0
@@ -149,7 +155,14 @@ def assemble_radial(rho, m_abs: int, j: int, deriv_order: int, chains) -> np.nda
         raise ValueError(
             f"derivative order must be 0..{MAX_DERIV_ORDER}, got {deriv_order}"
         )
-    return sign * out
+    out = sign * out
+    n = m + 2 * j
+    if n >= CHECKED_MIN_DEGREE and not np.all(np.isfinite(out)):
+        raise ValueError(
+            f"Jacobi evaluation of (n={n}, m={m}) at derivative order {deriv_order} "
+            "leaves the binary64 range"
+        )
+    return out
 
 
 def radial_jacobi(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
@@ -168,7 +181,7 @@ def radial_jacobi(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
     -------
     ndarray, shape (len(grid),)
     """
-    mode = _radial_mode(n, m_abs)
+    mode = radial_mode(n, m_abs)
     check_deriv_order(deriv_order)
     rho = radial_grid(grid)
     u = jacobi_argument(rho)
@@ -190,7 +203,7 @@ def radial_direct(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
     sum itself runs in binary64 and is deliberately kept as the unstable
     baseline (catastrophic cancellation at high n).
     """
-    _radial_mode(n, m_abs)
+    radial_mode(n, m_abs)
     rho = radial_grid(grid)
     poly = radial_coefficients(n, m_abs)
     if deriv_order:
@@ -259,7 +272,7 @@ def radial_ztt_table(modes: ModeSet, grid) -> np.ndarray:
 
 def radial_ztt(n: int, m_abs: int, grid) -> np.ndarray:
     """Radial polynomial via the Zernike three-term recursion (single mode)."""
-    mode = _radial_mode(n, m_abs)
+    mode = radial_mode(n, m_abs)
     return radial_ztt_table((mode,), grid)[:, 0]
 
 
@@ -272,19 +285,32 @@ def radial_at_zero(n: int, m: int) -> float:
     return 1.0 if mode.n % 4 == 0 else -1.0
 
 
-def zernike_eval(mode: Mode, grid, angles, deriv_order: int = 0) -> np.ndarray:
-    """Full Zernike polynomial at point-wise (rho, theta) pairs.
-
-    The angular factor is cos(m*theta) for m >= 0 and sin(|m|*theta) for
-    m < 0; the derivative order applies to the radial factor only.
-    """
+def pointwise_grids(grid, angles) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (rho, theta) for point-wise evaluation: one angle per radial point."""
     rho = radial_grid(grid)
     theta = angular_grid(angles)
     if rho.size != theta.size:
         raise ValueError(
             f"point-wise grids must match: {rho.size} radial vs {theta.size} angular"
         )
+    return rho, theta
+
+
+def angular_factor(m: int, theta: np.ndarray) -> np.ndarray:
+    """Angular factor of azimuthal degree m.
+
+    cos(m*theta) for m >= 0 and sin(|m|*theta) for m < 0.
+    """
+    if m >= 0:
+        return np.cos(m * theta)
+    return np.sin(-m * theta)
+
+
+def zernike_eval(mode: Mode, grid, angles, deriv_order: int = 0) -> np.ndarray:
+    """Full Zernike polynomial at point-wise (rho, theta) pairs.
+
+    The radial factor (or its rho-derivative) times ``angular_factor``.
+    """
+    rho, theta = pointwise_grids(grid, angles)
     radial = radial_jacobi(mode.n, mode.m_abs, rho, deriv_order)
-    if mode.m >= 0:
-        return radial * np.cos(mode.m * theta)
-    return radial * np.sin(mode.m_abs * theta)
+    return radial * angular_factor(mode.m, theta)

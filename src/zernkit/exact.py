@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .modes import Mode, ModeSet, make_mode
+from .modes import ModeSet, dedup_plan, radial_mode, radial_sweep_modes
 from .tables import EvalMatrix, GridError, check_deriv_order
 
 _MIN_SIGNIFICAND_BITS = 24  # binary32; anything below is meaningless here
@@ -51,9 +51,7 @@ def radial_coefficients(n: int, m_abs: int) -> ExactRadialPoly:
     The coefficient of rho^(n-2s) is (-1)^s C(n-s, s) C(n-2s, (n-|m|)/2 - s),
     computed entirely in integer arithmetic.
     """
-    mode = make_mode(n, m_abs)
-    if mode.m < 0:
-        raise ValueError("m_abs must be non-negative")
+    mode = radial_mode(n, m_abs)
     j = mode.jacobi_degree
     terms = tuple(
         (n - 2 * s, (-1) ** s * comb(n - s, s) * comb(n - 2 * s, j - s))
@@ -178,11 +176,9 @@ def oracle_table(modes: ModeSet, grid, deriv_order: int = 0) -> EvalMatrix:
     check_deriv_order(deriv_order)
     modes = tuple(modes)
     points = _as_fractions(grid)
-    slots: dict[tuple[int, int], int] = {}
-    for mode in modes:
-        slots.setdefault((mode.n, mode.m_abs), len(slots))
+    plan = dedup_plan(modes)
     polys = []
-    for n, m_abs in slots:
+    for n, m_abs in plan.unique_keys:
         poly = radial_coefficients(n, m_abs)
         if deriv_order:
             poly = differentiate_exact(poly, deriv_order)
@@ -190,9 +186,7 @@ def oracle_table(modes: ModeSet, grid, deriv_order: int = 0) -> EvalMatrix:
     columns = np.array(_exact_columns(polys, points), dtype=np.float64).reshape(
         len(polys), len(points)
     )
-    values = np.empty((len(points), len(modes)), dtype=np.float64)
-    for col, mode in enumerate(modes):
-        values[:, col] = columns[slots[mode.n, mode.m_abs]]
+    values = columns[np.array(plan.scatter, dtype=np.intp)].T
     return EvalMatrix(values=values, modes=modes, deriv_order=deriv_order)
 
 
@@ -374,11 +368,7 @@ def precision_sweep(
             )
     points = _as_fractions(grid)
 
-    polys = [
-        radial_coefficients(n, m)
-        for n in range(n_max + 1)
-        for m in range(n % 2, n + 1, 2)
-    ]
+    polys = [radial_coefficients(mode.n, mode.m) for mode in radial_sweep_modes(n_max)]
     references = _exact_columns(polys, points)
 
     results: list[tuple[int, float]] = []

@@ -64,6 +64,13 @@ def make_mode(n: int, m: int) -> Mode:
     return Mode(int(n), int(m))
 
 
+def radial_mode(n: int, m_abs: int) -> Mode:
+    """Validate a radial key (n, |m|) and build its Mode; m_abs must be >= 0."""
+    if m_abs < 0:
+        raise ValueError("m_abs must be non-negative")
+    return make_mode(n, m_abs)
+
+
 def as_mode_set(pairs: Iterable) -> ModeSet:
     """Normalize an iterable of Mode or (n, m) pairs into a validated ModeSet."""
     out = []
@@ -89,6 +96,13 @@ def full_mode_set(resolution: int) -> ModeSet:
         Mode(n, m)
         for n in range(resolution + 1)
         for m in range(-n, n + 1, 2)
+    )
+
+
+def radial_sweep_modes(n_max: int) -> ModeSet:
+    """Every radial key (n, m >= 0) with n <= n_max; the radial part ignores sign(m)."""
+    return tuple(
+        Mode(n, m) for n in range(n_max + 1) for m in range(n % 2, n + 1, 2)
     )
 
 

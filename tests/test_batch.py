@@ -198,3 +198,14 @@ def test_strategies_agree_on_arbitrary_requests(modes, k):
     plan = dedup_plan(tuple(modes))
     assert ca == cached_step_counter(plan, k)
     assert cb == independent_step_counter(plan, k)
+
+
+@pytest.mark.parametrize("strategy", ["cached", "independent"])
+@pytest.mark.parametrize("k", range(4))
+def test_overflow_past_the_gate_is_value_error(strategy, k):
+    # (1439, 637): its chain overflows while rho**637 underflows at rho = 0
+    request = BatchRequest(
+        modes=[(3, 1), (1439, 637)], grid=[0.0, 0.5], deriv_order=k, strategy=strategy
+    )
+    with pytest.raises(ValueError, match=r"n=1439, m=637"):
+        evaluate_batch(request)

@@ -17,6 +17,8 @@ from zernkit.cli import (
     run_bench,
     run_precision,
 )
+from zernkit.evaluate import zernike_eval
+from zernkit.modes import make_mode
 
 
 @pytest.fixture
@@ -288,6 +290,41 @@ def test_eval_rejects_out_of_range_rho_and_mismatch(runner, tmp_path):
         main, ["eval", "--modes", str(modes), "--rho", str(rho), "--theta", str(theta)]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_eval_full_polynomials_equal_zernike_eval_bitwise(runner, tmp_path, k):
+    # duplicates and sign-flipped m share one radial row in the engine; each
+    # column must still be that mode's zernike_eval, bit for bit
+    pairs = [(0, 0), (3, 1), (3, -1), (4, 2), (3, 1), (6, -4), (4, -2), (6, 4), (6, -4)]
+    modes = tmp_path / "modes.txt"
+    rho = tmp_path / "rho.txt"
+    theta = tmp_path / "theta.txt"
+    write_lines(modes, [f"{n} {m}" for n, m in pairs])
+    points = [0.0, 0.125, 0.3, 0.77, 1.0]
+    angles = [0.0, 1.5, -0.4, 3.0, 6.1]
+    write_lines(rho, [repr(r) for r in points])
+    write_lines(theta, [repr(t) for t in angles])
+    result = runner.invoke(
+        main,
+        ["eval", "--modes", str(modes), "--rho", str(rho), "--theta", str(theta),
+         "--k", str(k), "--format", "json"],
+    )
+    assert result.exit_code == 0, result.output
+    values = np.array(json.loads(result.output)["values"])
+    for col, (n, m) in enumerate(pairs):
+        expected = zernike_eval(make_mode(n, m), points, angles, k)
+        assert values[:, col].tobytes() == expected.tobytes()
+
+
+def test_eval_overflow_past_the_gate_is_usage_error(runner, tmp_path):
+    modes = tmp_path / "modes.txt"
+    rho = tmp_path / "rho.txt"
+    write_lines(modes, ["1439 637"])
+    write_lines(rho, ["0.0"])
+    result = runner.invoke(main, ["eval", "--modes", str(modes), "--rho", str(rho)])
+    assert result.exit_code == 2
+    assert "n=1439, m=637" in result.output
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

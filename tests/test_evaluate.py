@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,8 @@ from scipy.special import eval_jacobi
 
 import zernkit as zk
 from zernkit.evaluate import (
+    CHECKED_MIN_DEGREE,
+    angular_factor,
     assemble_radial,
     jacobi_argument,
     jacobi_chain,
@@ -232,8 +236,15 @@ def test_zernike_eval_derivative_applies_to_radial_factor():
 
 
 def test_zernike_eval_rejects_length_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="point-wise grids must match"):
         zernike_eval(zk.make_mode(1, 1), [0.1, 0.2], [0.0])
+
+
+def test_angular_factor_rule():
+    theta = np.array([0.0, 0.3, -2.5])
+    assert angular_factor(0, theta).tolist() == [1.0, 1.0, 1.0]
+    assert angular_factor(3, theta).tolist() == np.cos(3 * theta).tolist()
+    assert angular_factor(-3, theta).tolist() == np.sin(3 * theta).tolist()
 
 
 point_grid = st.lists(
@@ -279,3 +290,40 @@ def test_assemble_uses_zero_convention_at_center():
 def test_jacobi_argument_shared_form():
     rho = np.array([0.0, 0.5, 1.0])
     assert jacobi_argument(rho).tolist() == [1.0, 0.5, -1.0]
+
+
+# --- binary64 range at high degree -------------------------------------------------
+
+# (1439, 637) is the first mode whose Jacobi value at small rho is 0 * inf
+FIRST_OVERFLOW = (1439, 637)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_radial_jacobi_overflow_is_value_error(k):
+    n, m = FIRST_OVERFLOW
+    with pytest.raises(ValueError, match=rf"n={n}, m={m}\) at derivative order {k}"):
+        radial_jacobi(n, m, [0.0, 0.5], k)
+
+
+def test_radial_jacobi_past_the_gate_matches_oracle_where_finite():
+    n, m = FIRST_OVERFLOW
+    got = radial_jacobi(n, m, [0.5])[0]
+    exact = float(zk.eval_exact(zk.radial_coefficients(n, m), Fraction(1, 2)))
+    assert abs(got - exact) <= 1e-9
+
+
+high_mode = st.integers(CHECKED_MIN_DEGREE - 24, 1500).flatmap(
+    lambda n: st.integers(0, n // 2).map(lambda j: (n, n - 2 * j))
+)
+
+
+@given(high_mode, st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_high_degree_is_finite_or_value_error(mode, k):
+    n, m = mode
+    try:
+        got = radial_jacobi(n, m, [0.0, 5e-324, 1e-300, 1e-3, 0.5, 1.0], k)
+    except ValueError:
+        assert n >= CHECKED_MIN_DEGREE
+    else:
+        assert np.all(np.isfinite(got))

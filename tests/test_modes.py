@@ -12,6 +12,8 @@ from zernkit.modes import (
     dedup_plan,
     full_mode_set,
     make_mode,
+    radial_mode,
+    radial_sweep_modes,
 )
 
 
@@ -143,3 +145,19 @@ def test_modes_are_hashable_and_frozen():
     assert hash(mode) == hash(Mode(4, -2))
     with pytest.raises(AttributeError):
         mode.n = 5
+
+
+def test_radial_mode_rejects_negative_m_abs():
+    assert radial_mode(3, 1) == Mode(3, 1)
+    with pytest.raises(ValueError, match="m_abs must be non-negative"):
+        radial_mode(3, -1)
+    with pytest.raises(ParityViolation):
+        radial_mode(3, 2)
+
+
+def test_radial_sweep_modes_lists_each_radial_key_once():
+    keys = radial_sweep_modes(4)
+    assert [(m.n, m.m) for m in keys] == [
+        (0, 0), (1, 1), (2, 0), (2, 2), (3, 1), (3, 3), (4, 0), (4, 2), (4, 4)
+    ]
+    assert set(dedup_plan(full_mode_set(4)).unique_keys) == {(m.n, m.m) for m in keys}
