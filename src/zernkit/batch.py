@@ -118,7 +118,6 @@ def _execute(request: BatchRequest, strategy: str) -> tuple[EvalMatrix, StepCoun
     rho = request.grid
     u = jacobi_argument(rho)
     k = request.deriv_order
-    zeros = np.zeros_like(rho)
     groups, counter = _chain_plan(dedup_plan(request.modes), strategy, k)
     out = np.empty((len(request.modes), rho.size), dtype=np.float64)
     for alpha, degrees, entries in groups:
@@ -127,15 +126,12 @@ def _execute(request: BatchRequest, strategy: str) -> tuple[EvalMatrix, StepCoun
             for i, degree in enumerate(degrees)
         ]
         for j, rows in entries:
-            per_mode = [
-                chains[i][j - i] if j - i >= 0 else zeros for i in range(k + 1)
-            ]
-            value = assemble_radial(rho, alpha, j, k, per_mode)
+            value = assemble_radial(rho, alpha, j, k, chains)
             for row in rows:
                 out[row] = value
         # free this group's chains before the next group allocates its own:
         # kept alive across that call, they cost 2-5x the minor page faults
-        del chains, per_mode, value
+        del chains, value
     return EvalMatrix(out.T, request.modes, k), counter
 
 

@@ -26,7 +26,6 @@ from .evaluate import angular_factor, pointwise_grids, radial_direct, radial_ztt
 from .modes import Mode, ModeError, ModeSet, full_mode_set, make_mode, radial_sweep_modes
 from .tables import (
     EvalMatrix,
-    GridError,
     check_deriv_order,
     linear_radial_grid,
     rational_radial_grid,
@@ -272,9 +271,9 @@ def _read_csv(path, header: Sequence[str], convert) -> list:
     """Rows of a CSV file written under ``header``, each passed to ``convert``."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        found = tuple(next(reader))
+        found = tuple(next(reader, ()))
         if found != header:
-            raise ValueError(f"unexpected header {found}")
+            raise ValueError(f"{path}: expected header {tuple(header)}, got {found}")
         rows = list(reader)
     for lineno, row in enumerate(rows, start=2):
         if len(row) != len(header):
@@ -377,7 +376,7 @@ def accuracy_command(n_max, methods, grid_size, k_max, serial, output):
     """Max-abs error of each method vs the exact oracle, per (n, m, k)."""
     try:
         rows = run_accuracy(n_max, methods, grid_size, k_max)
-    except (ModeError, GridError, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     _write_rows(output, ACCURACY_HEADER, map(astuple, rows))
 
@@ -417,7 +416,7 @@ def bench_command(n_min, n_max, step, grid_sizes, strategies, methods, reps, ser
     """Wall time of full-set evaluation per resolution, grid and strategy."""
     try:
         records = run_bench(n_min, n_max, step, grid_sizes, strategies, reps, methods)
-    except (ModeError, GridError, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     _write_rows(output, BENCH_HEADER, map(astuple, records))
 
@@ -444,7 +443,7 @@ def eval_command(modes_path, rho_path, theta_path, k, fmt, serial, output):
     try:
         angles = None if theta is None else pointwise_grids(rho, theta)[1]
         values = _candidate_matrix("jacobi", modes, rho, k).values
-    except (ModeError, GridError, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     if angles is not None:
         for col, mode in enumerate(modes):
@@ -485,7 +484,7 @@ def precision_command(n_max, bits, grid_size, output):
     """Max deviation of p-bit direct evaluation from the exact oracle."""
     try:
         rows = run_precision(n_max, bits, grid_size)
-    except (ModeError, GridError, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     _write_rows(output, PRECISION_HEADER, rows)
 

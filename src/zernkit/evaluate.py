@@ -14,7 +14,7 @@ import numpy as np
 
 from .exact import differentiate_exact, radial_coefficients
 from .modes import Mode, ModeSet, make_mode, radial_mode
-from .tables import MAX_DERIV_ORDER, angular_grid, check_deriv_order, radial_grid
+from .tables import angular_grid, check_deriv_order, radial_grid
 
 # Degree n from which assemble_radial checks that its output is finite.
 # Below it nothing can overflow. On [-1, 1], |P_j^(a,b)| <= C(j + a, j) for
@@ -102,12 +102,26 @@ def jacobi_derivative_scale(j: int, alpha: int, beta: int, order: int) -> float:
     return prod / float(2**order)
 
 
+# Chain rule for d^k/drho^k of rho^m P(1 - 2 rho^2): per order k, the weight
+# of shift i as a polynomial in m, integer-valued and exact. Shifts i >= 1
+# are binary64 so that -12 m^2 is -0.0 at m = 0: adding a term of negative
+# weight then rounds as subtracting its magnitude does, signed zeros included.
+_DERIVATIVE_WEIGHTS = (
+    lambda m: (1,),
+    lambda m: (m, -4.0),
+    lambda m: ((m - 1) * m, -4.0 * (2 * m + 1), 16.0),
+    lambda m: ((m - 2) * (m - 1) * m, -12.0 * m * m, 48.0 * (m + 1), -64.0),
+)
+
+
 def assemble_radial(rho, m_abs: int, j: int, deriv_order: int, chains) -> np.ndarray:
     """Combine shifted-parameter Jacobi values into the radial value/derivative.
 
-    ``chains[i]`` must hold P_{j-i}^(m+i, i) at u = 1 - 2*rho**2 (zeros when
-    j < i). The rho chain rule for the quadratic inner argument gives, with
-    scaled derivatives Pk = scale_k * chains[k]:
+    ``chains[i]`` is the whole chain of shift i: rows P_0 .. P_d^(m+i, i) at
+    u = 1 - 2*rho**2 with d >= j - i, of which row j - i is read. When
+    j < i that term vanishes, ``chains[i]`` is not read and may be None.
+    The rho chain rule for the quadratic inner argument gives, with scaled
+    derivatives Pk = scale_k * P_{j-k}^(m+k, k):
 
         k=0:  rho^m P
         k=1:  m rho^(m-1) P - 4 rho^(m+1) P'
@@ -115,47 +129,28 @@ def assemble_radial(rho, m_abs: int, j: int, deriv_order: int, chains) -> np.nda
         k=3:  m(m-1)(m-2) rho^(m-3) P - 12 m^2 rho^(m-1) P'
               + 48(m+1) rho^(m+1) P'' - 64 rho^(m+3) P'''
 
-    times the sign (-1)^j. Falling-factorial prefactors vanish before any
-    negative power of rho can contribute, so exponents are clamped at 0
-    (with the 0**0 == 1 convention at the disc center).
+    times the sign (-1)^j; ``_DERIVATIVE_WEIGHTS`` holds these weights.
+    Falling-factorial prefactors vanish before any negative power of rho can
+    contribute, so exponents are clamped at 0 (with the 0**0 == 1 convention
+    at the disc center).
 
     Every evaluation path funnels through this one function with one fixed
     operation order, which is what makes batch strategies bit-identical.
+    Each term is (weight * scale) * rho**e * row, the scalar formed before
+    any array is touched, and the terms are summed left to right. A vanished
+    term still enters the sum, as a row of signed zeros.
     From degree CHECKED_MIN_DEGREE on, a non-finite result raises ValueError.
     """
+    check_deriv_order(deriv_order)
     m = m_abs
-    sign = -1.0 if j & 1 else 1.0
-    if deriv_order == 0:
-        out = rho**m * chains[0]
-    elif deriv_order == 1:
-        s1 = jacobi_derivative_scale(j, m, 0, 1)
-        out = (
-            m * rho ** max(m - 1, 0) * chains[0]
-            - 4.0 * s1 * rho ** (m + 1) * chains[1]
-        )
-    elif deriv_order == 2:
-        s1 = jacobi_derivative_scale(j, m, 0, 1)
-        s2 = jacobi_derivative_scale(j, m, 0, 2)
-        out = (
-            (m - 1) * m * rho ** max(m - 2, 0) * chains[0]
-            - 4.0 * (2 * m + 1) * s1 * rho**m * chains[1]
-            + 16.0 * s2 * rho ** (m + 2) * chains[2]
-        )
-    elif deriv_order == 3:
-        s1 = jacobi_derivative_scale(j, m, 0, 1)
-        s2 = jacobi_derivative_scale(j, m, 0, 2)
-        s3 = jacobi_derivative_scale(j, m, 0, 3)
-        out = (
-            (m - 2) * (m - 1) * m * rho ** max(m - 3, 0) * chains[0]
-            - 12.0 * m * m * s1 * rho ** max(m - 1, 0) * chains[1]
-            + 48.0 * (m + 1) * s2 * rho ** (m + 1) * chains[2]
-            - 64.0 * s3 * rho ** (m + 3) * chains[3]
-        )
-    else:
-        raise ValueError(
-            f"derivative order must be 0..{MAX_DERIV_ORDER}, got {deriv_order}"
-        )
-    out = sign * out
+    out = None
+    for i, weight in enumerate(_DERIVATIVE_WEIGHTS[deriv_order](m)):
+        factor = weight * jacobi_derivative_scale(j, m, 0, i)
+        row = 0.0 if j < i else chains[i][j - i]
+        power = rho ** max(m - deriv_order + 2 * i, 0)
+        term = power * row if factor == 1 else factor * power * row
+        out = term if out is None else out + term
+    out = (-1.0 if j & 1 else 1.0) * out
     n = m + 2 * j
     if n >= CHECKED_MIN_DEGREE and not np.all(np.isfinite(out)):
         raise ValueError(
@@ -186,13 +181,10 @@ def radial_jacobi(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
     rho = radial_grid(grid)
     u = jacobi_argument(rho)
     j = mode.jacobi_degree
-    chains = []
-    for i in range(deriv_order + 1):
-        degree = j - i
-        if degree >= 0:
-            chains.append(jacobi_chain(degree, m_abs + i, i, u)[degree])
-        else:
-            chains.append(np.zeros_like(rho))
+    chains = [
+        jacobi_chain(j - i, m_abs + i, i, u) if j >= i else None
+        for i in range(deriv_order + 1)
+    ]
     return assemble_radial(rho, m_abs, j, deriv_order, chains)
 
 
@@ -228,45 +220,35 @@ def radial_direct(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
 def radial_ztt_table(modes: ModeSet, grid) -> np.ndarray:
     """Radial values for several modes via the Zernike three-term recursion.
 
-    One memo of intermediate polynomials is shared across the whole request;
-    the recursion R_n^m = rho[R_{n-1}^{|m-1|} + R_{n-1}^{m+1}] - R_{n-2}^m is
-    seeded with R_q^q = rho**q. Value-only (no derivative form exists).
+    The recursion R_n^m = rho[R_{n-1}^{|m-1|} + R_{n-1}^{m+1}] - R_{n-2}^m,
+    seeded with R_n^n = rho**n, sweeps n upwards for the whole request and
+    keeps only the last two levels; each requested column is written when
+    its level is reached. Level n holds only the m that a requested (N, M)
+    with N >= n still depends on: m <= n and m <= max(N + M) - n.
+    Value-only (no derivative form exists).
 
     Returns an array of shape (len(grid), len(modes)).
     """
     modes = tuple(modes)
     rho = radial_grid(grid)
-    memo: dict[tuple[int, int], np.ndarray] = {}
     out = np.empty((rho.size, len(modes)), dtype=np.float64)
+    wanted: dict[int, list[tuple[int, int]]] = {}
     for col, mode in enumerate(modes):
-        key = (mode.n, mode.m_abs)
-        # Depth first with an explicit stack of the keys still missing: the
-        # dependency chain is ~n deep, past Python's recursion limit near
-        # n = 1000. The top key is computed once its three inputs exist.
-        stack = [] if key in memo else [key]
-        while stack:
-            top = stack[-1]
-            n, m = top
-            if n == m:
-                memo[top] = rho**n
-                stack.pop()
-                continue
-            left_key = (n - 1, abs(m - 1))
-            right_key = (n - 1, m + 1)
-            below_key = (n - 2, m)
-            left = memo.get(left_key)
-            right = memo.get(right_key)
-            below = memo.get(below_key)
-            if left is None:
-                stack.append(left_key)
-            elif right is None:
-                stack.append(right_key)
-            elif below is None:
-                stack.append(below_key)
-            else:
-                memo[top] = rho * (left + right) - below
-                stack.pop()
-        out[:, col] = memo[key]
+        wanted.setdefault(mode.n, []).append((mode.m_abs, col))
+    top = max(wanted, default=-1)
+    reach = [0] * (top + 2)
+    for n in range(top, -1, -1):
+        reach[n] = max([reach[n + 1]] + [n + m for m, _ in wanted.get(n, ())])
+    below: dict[int, np.ndarray] = {}
+    prev = below
+    for n in range(top + 1):
+        level = {
+            m: rho**n if m == n else rho * (prev[abs(m - 1)] + prev[m + 1]) - below[m]
+            for m in range(n % 2, min(n, reach[n] - n) + 1, 2)
+        }
+        for m, col in wanted.get(n, ()):
+            out[:, col] = level[m]
+        below, prev = prev, level
     return out
 
 

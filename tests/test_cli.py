@@ -131,6 +131,16 @@ def test_accuracy_csv_roundtrip(runner, tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "reader", [read_accuracy_csv, read_bench_csv, read_precision_csv]
+)
+def test_empty_csv_is_value_error_naming_the_file(tmp_path, reader):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="empty.csv"):
+        reader(empty)
+
+
 # --- bench ----------------------------------------------------------------------
 
 

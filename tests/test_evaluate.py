@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +22,7 @@ from zernkit.evaluate import (
     radial_ztt_table,
     zernike_eval,
 )
-from zernkit.modes import ModeError
+from zernkit.modes import ModeError, full_mode_set
 from zernkit.tables import GridError
 
 from conftest import radial_sweep
@@ -177,11 +179,62 @@ def test_radial_ztt_matches_oracle(grid100, rational100):
 
 @pytest.mark.parametrize("m", [0, 40])
 def test_radial_ztt_past_the_recursion_limit(m):
-    # the memo walk is ~n deep, which a recursive walk cannot reach at n = 1024
+    # the recursion's dependency chain is ~n levels deep: evaluating it by
+    # recursive calls would pass Python's recursion limit at n = 1024
     grid = zk.linear_radial_grid(16)
     ztt = radial_ztt(1024, m, grid)
     assert np.all(np.isfinite(ztt))
     assert np.max(np.abs(ztt - radial_jacobi(1024, m, grid))) <= 1e-9
+
+
+def reference_ztt_table(modes, rho):
+    """Depth-first memo walk over the Zernike recursion, one key at a time."""
+    memo = {}
+    out = np.empty((rho.size, len(modes)), dtype=np.float64)
+    for col, mode in enumerate(modes):
+        key = (mode.n, mode.m_abs)
+        stack = [] if key in memo else [key]
+        while stack:
+            top = stack[-1]
+            n, m = top
+            if n == m:
+                memo[top] = rho**n
+                stack.pop()
+                continue
+            needs = [(n - 1, abs(m - 1)), (n - 1, m + 1), (n - 2, m)]
+            missing = [k for k in needs if k not in memo]
+            if missing:
+                stack.append(missing[0])
+            else:
+                left, right, below = (memo[k] for k in needs)
+                memo[top] = rho * (left + right) - below
+                stack.pop()
+        out[:, col] = memo[key]
+    return out
+
+
+def test_radial_ztt_table_matches_memo_walk_bitwise():
+    rho = np.concatenate([[0.0, 5e-324, 1e-300, 1.0], zk.linear_radial_grid(40)])
+    # unsorted, duplicated, sign-flipped m, gaps in n
+    pairs = [(9, -3), (4, 2), (30, 6), (4, -2), (12, 0), (1, 1), (9, 3), (4, 2),
+             (2, 0), (25, -25), (17, 1)]
+    modes = tuple(zk.make_mode(n, m) for n, m in pairs)
+    got = radial_ztt_table(modes, rho)
+    assert got.tobytes() == reference_ztt_table(modes, rho).tobytes()
+    assert radial_ztt_table((), rho).shape == (rho.size, 0)
+
+
+def test_radial_ztt_table_keeps_two_levels():
+    grid = zk.linear_radial_grid(5000)
+    modes = full_mode_set(40)
+    tracemalloc.start()
+    try:
+        out = radial_ztt_table(modes, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a memo of every key would hold another half of the output
+    assert peak <= 1.2 * out.nbytes
 
 
 def test_stable_regime_baselines(grid100, rational100):
@@ -285,6 +338,59 @@ def test_assemble_uses_zero_convention_at_center():
     rho = np.array([0.0])
     chains = [np.ones(1)]
     assert assemble_radial(rho, 0, 0, 0, chains)[0] == 1.0
+
+
+def reference_assemble(rho, m, j, deriv_order, rows):
+    """The chain rule written out per order; ``rows[i]`` is P_{j-i}^(m+i, i),
+    zeros when j < i."""
+    sign = -1.0 if j & 1 else 1.0
+    if deriv_order == 0:
+        out = rho**m * rows[0]
+    elif deriv_order == 1:
+        s1 = jacobi_derivative_scale(j, m, 0, 1)
+        out = m * rho ** max(m - 1, 0) * rows[0] - 4.0 * s1 * rho ** (m + 1) * rows[1]
+    elif deriv_order == 2:
+        s1 = jacobi_derivative_scale(j, m, 0, 1)
+        s2 = jacobi_derivative_scale(j, m, 0, 2)
+        out = (
+            (m - 1) * m * rho ** max(m - 2, 0) * rows[0]
+            - 4.0 * (2 * m + 1) * s1 * rho**m * rows[1]
+            + 16.0 * s2 * rho ** (m + 2) * rows[2]
+        )
+    else:
+        s1 = jacobi_derivative_scale(j, m, 0, 1)
+        s2 = jacobi_derivative_scale(j, m, 0, 2)
+        s3 = jacobi_derivative_scale(j, m, 0, 3)
+        out = (
+            (m - 2) * (m - 1) * m * rho ** max(m - 3, 0) * rows[0]
+            - 12.0 * m * m * s1 * rho ** max(m - 1, 0) * rows[1]
+            + 48.0 * (m + 1) * s2 * rho ** (m + 1) * rows[2]
+            - 64.0 * s3 * rho ** (m + 3) * rows[3]
+        )
+    return sign * out
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_assemble_matches_written_out_chain_rule_bitwise(k):
+    # .tobytes() counts signed zeros, so every chain row value takes each
+    # sign, zeros included, at every rho: a vanished term (j < i) that is
+    # skipped instead of summed shows up as a flipped zero
+    points = list(
+        itertools.product(
+            [0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0], *[[-0.0, 0.0, -1.5, 1.5]] * (k + 1)
+        )
+    )
+    rho = np.array([p[0] for p in points])
+    values = np.array([p[1:] for p in points]).T
+    # row d of shift i's chain is (d + 1) * values[i], so a wrong row shows
+    shared = [np.outer(np.arange(1.0, 8 - i), values[i]) for i in range(k + 1)]
+    for m in range(13):
+        for j in range(7):
+            rows = [c[j - i] if j >= i else np.zeros_like(rho) for i, c in enumerate(shared)]
+            want = reference_assemble(rho, m, j, k, rows).tobytes()
+            own = [c[: j - i + 1] if j >= i else None for i, c in enumerate(shared)]
+            assert assemble_radial(rho, m, j, k, shared).tobytes() == want, (m, j)
+            assert assemble_radial(rho, m, j, k, own).tobytes() == want, (m, j)
 
 
 def test_jacobi_argument_shared_form():
