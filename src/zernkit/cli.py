@@ -76,10 +76,7 @@ class BenchRecord:
 
 def _candidate_matrix(method: str, modes: ModeSet, grid, deriv_order: int) -> EvalMatrix:
     if method == "jacobi":
-        request = BatchRequest(
-            modes=modes, grid=grid, deriv_order=deriv_order, strategy="cached"
-        )
-        return evaluate_batch(request)[0]
+        return evaluate_batch(BatchRequest(modes, grid, deriv_order, "cached"))[0]
     if method == "direct":
         values = np.empty((len(grid), len(modes)), dtype=np.float64)
         for col, mode in enumerate(modes):
@@ -88,9 +85,7 @@ def _candidate_matrix(method: str, modes: ModeSet, grid, deriv_order: int) -> Ev
     if method == "ztt":
         if deriv_order:
             raise ValueError("ztt has no derivative form")
-        return EvalMatrix(
-            values=radial_ztt_table(modes, grid), modes=modes, deriv_order=0
-        )
+        return EvalMatrix(radial_ztt_table(modes, grid), modes, 0)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -192,8 +187,8 @@ def run_bench(
     are ordered by resolution, then grid size, method and strategy as given.
     ``serial`` is accepted for compatibility: evaluation is single-threaded.
     """
-    if n_min < 0 or n_min > n_max:
-        raise ValueError(f"need 0 <= n_min <= n_max, got {n_min}..{n_max}")
+    if n_min < 0 or n_min > n_max or n_max > MAX_ACCURACY_N:
+        raise ValueError(f"need 0 <= n_min <= n_max <= {MAX_ACCURACY_N}, got {n_min}..{n_max}")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     if repetitions < 3:
@@ -214,9 +209,7 @@ def run_bench(
                 for resolution in resolutions:
                     modes = mode_sets[resolution]
                     if method == "jacobi":
-                        request = BatchRequest(
-                            modes=modes, grid=grid, deriv_order=0, strategy=strategy
-                        )
+                        request = BatchRequest(modes, grid, 0, strategy)
                         call = functools.partial(evaluate_batch, request)
                         steps = call()[1].recursion_steps  # also the warm-up
                     else:

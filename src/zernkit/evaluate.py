@@ -10,6 +10,9 @@ shifted parameters.
 
 from __future__ import annotations
 
+import contextlib
+import math
+
 import numpy as np
 
 from .exact import differentiate_exact, radial_coefficients
@@ -36,7 +39,7 @@ def jacobi_argument(rho: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * rho * rho
 
 
-def jacobi_chain(j_max: int, alpha: int, beta: int, x) -> np.ndarray:
+def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
     """Evaluate the whole chain P_0 .. P_{j_max} at x via the three-term recursion.
 
     Parameters
@@ -47,6 +50,8 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x) -> np.ndarray:
         Jacobi parameters, both >= 0 on the Zernike range
     x : ndarray, shape (N,)
         evaluation points
+    out : ndarray, shape (>= j_max + 1, N), optional
+        reusable buffer whose first j_max + 1 rows receive the chain
 
     Returns
     -------
@@ -58,24 +63,32 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x) -> np.ndarray:
     -----
     P_0 and P_1 are explicit base cases; the recursion is only applied for
     j >= 2, where its leading factor 2j(c-j)(c-2) with c = 2j+alpha+beta is
-    strictly positive for alpha, beta >= 0.
+    strictly positive for alpha, beta >= 0. Each step runs one ufunc per
+    operation, in order, through two scratch rows into row j.
     """
     if j_max < 0:
         raise ValueError(f"chain degree must be >= 0, got {j_max}")
     if alpha < 0 or beta < 0:
         raise ValueError(f"need alpha, beta >= 0, got ({alpha}, {beta})")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty((j_max + 1, x.size), dtype=np.float64)
+    out = np.empty((j_max + 1, x.size)) if out is None else out[: j_max + 1]
     out[0] = 1.0
     if j_max >= 1:
         out[1] = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2
+    acc, lag = np.empty((2, x.size))
     for j in range(2, j_max + 1):
+        # rounded once here as numpy would round each int: same bits, less dispatch
         c = 2 * j + alpha + beta
-        lead = 2 * j * (c - j) * (c - 2)
-        mid_x = (c - 1) * c * (c - 2)
-        mid_const = (c - 1) * (alpha * alpha - beta * beta)
-        last = 2 * (j + alpha - 1) * (j + beta - 1) * c
-        out[j] = ((mid_x * x + mid_const) * out[j - 1] - last * out[j - 2]) / lead
+        lead = float(2 * j * (c - j) * (c - 2))
+        mid_x = float((c - 1) * c * (c - 2))
+        mid_const = float((c - 1) * (alpha * alpha - beta * beta))
+        last = float(2 * (j + alpha - 1) * (j + beta - 1) * c)
+        np.multiply(mid_x, x, out=acc)
+        np.add(acc, mid_const, out=acc)
+        np.multiply(acc, out[j - 1], out=acc)
+        np.multiply(last, out[j - 2], out=lag)
+        np.subtract(acc, lag, out=acc)
+        np.divide(acc, lead, out=out[j])
     return out
 
 
@@ -95,11 +108,8 @@ def jacobi_derivative_scale(j: int, alpha: int, beta: int, order: int) -> float:
         raise ValueError(f"order must be >= 0, got {order}")
     if j < order:
         return 0.0
-    prod = 1
     base = alpha + beta + j
-    for i in range(1, order + 1):
-        prod *= base + i
-    return prod / float(2**order)
+    return math.prod(range(base + 1, base + order + 1)) / float(2**order)
 
 
 # Chain rule for d^k/drho^k of rho^m P(1 - 2 rho^2): per order k, the weight
@@ -114,7 +124,22 @@ _DERIVATIVE_WEIGHTS = (
 )
 
 
-def assemble_radial(rho, m_abs: int, j: int, deriv_order: int, chains) -> np.ndarray:
+def radial_powers(rho, m_abs: int, deriv_order: int) -> list[np.ndarray]:
+    """rho**max(m - k + 2i, 0) per shift i = 0..k, as assemble_radial reads them."""
+    return [rho ** max(m_abs - deriv_order + 2 * i, 0) for i in range(deriv_order + 1)]
+
+
+def range_guard(n: int):
+    """Context for modes of degree up to n: from CHECKED_MIN_DEGREE on, where
+    assemble_radial raises a typed error instead, numpy's warnings are off."""
+    if n >= CHECKED_MIN_DEGREE:
+        return np.errstate(over="ignore", invalid="ignore")
+    return contextlib.nullcontext()
+
+
+def assemble_radial(
+    rho, m_abs: int, j: int, deriv_order: int, chains, out=None, powers=None
+) -> np.ndarray:
     """Combine shifted-parameter Jacobi values into the radial value/derivative.
 
     ``chains[i]`` is the whole chain of shift i: rows P_0 .. P_d^(m+i, i) at
@@ -132,7 +157,8 @@ def assemble_radial(rho, m_abs: int, j: int, deriv_order: int, chains) -> np.nda
     times the sign (-1)^j; ``_DERIVATIVE_WEIGHTS`` holds these weights.
     Falling-factorial prefactors vanish before any negative power of rho can
     contribute, so exponents are clamped at 0 (with the 0**0 == 1 convention
-    at the disc center).
+    at the disc center). A caller reading many degrees of one m passes these
+    powers once, as ``radial_powers(rho, m, k)``. The result goes into ``out``.
 
     Every evaluation path funnels through this one function with one fixed
     operation order, which is what makes batch strategies bit-identical.
@@ -143,14 +169,19 @@ def assemble_radial(rho, m_abs: int, j: int, deriv_order: int, chains) -> np.nda
     """
     check_deriv_order(deriv_order)
     m = m_abs
-    out = None
+    powers = radial_powers(rho, m, deriv_order) if powers is None else powers
+    out = np.empty(np.shape(rho)) if out is None else out
+    term = np.empty_like(out) if deriv_order else None  # terms after the first
     for i, weight in enumerate(_DERIVATIVE_WEIGHTS[deriv_order](m)):
         factor = weight * jacobi_derivative_scale(j, m, 0, i)
         row = 0.0 if j < i else chains[i][j - i]
-        power = rho ** max(m - deriv_order + 2 * i, 0)
-        term = power * row if factor == 1 else factor * power * row
-        out = term if out is None else out + term
-    out = (-1.0 if j & 1 else 1.0) * out
+        dest = term if i else out
+        scaled = powers[i] if factor == 1 else np.multiply(factor, powers[i], out=dest)
+        np.multiply(scaled, row, out=dest)
+        if i:
+            np.add(out, term, out=out)
+    if j & 1:
+        np.multiply(-1.0, out, out=out)
     n = m + 2 * j
     if n >= CHECKED_MIN_DEGREE and not np.all(np.isfinite(out)):
         raise ValueError(
@@ -181,11 +212,12 @@ def radial_jacobi(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
     rho = radial_grid(grid)
     u = jacobi_argument(rho)
     j = mode.jacobi_degree
-    chains = [
-        jacobi_chain(j - i, m_abs + i, i, u) if j >= i else None
-        for i in range(deriv_order + 1)
-    ]
-    return assemble_radial(rho, m_abs, j, deriv_order, chains)
+    with range_guard(n):
+        chains = [
+            jacobi_chain(j - i, m_abs + i, i, u) if j >= i else None
+            for i in range(deriv_order + 1)
+        ]
+        return assemble_radial(rho, m_abs, j, deriv_order, chains)
 
 
 def radial_direct(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:

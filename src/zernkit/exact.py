@@ -73,9 +73,7 @@ def differentiate_exact(poly: ExactRadialPoly, order: int) -> ExactRadialPoly:
     terms = poly.terms
     for _ in range(order):
         terms = tuple((e - 1, c * e) for e, c in terms if e >= 1)
-    return ExactRadialPoly(
-        n=poly.n, m_abs=poly.m_abs, deriv_order=order, terms=terms
-    )
+    return ExactRadialPoly(poly.n, poly.m_abs, order, terms)
 
 
 def eval_exact(poly: ExactRadialPoly, rho: Fraction | int) -> Fraction:
@@ -146,9 +144,8 @@ def _exact_columns(
 
 
 def _as_fractions(grid) -> tuple[Fraction, ...]:
-    points = tuple(Fraction(x) for x in np.asarray(grid).tolist()) if isinstance(
-        grid, np.ndarray
-    ) else tuple(Fraction(x) for x in grid)
+    values = grid.tolist() if isinstance(grid, np.ndarray) else grid
+    points = tuple(Fraction(x) for x in values)
     for p in points:
         if p < 0 or p > 1:
             raise GridError(f"rho must lie in [0, 1], got {p}")

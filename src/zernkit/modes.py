@@ -92,11 +92,7 @@ def full_mode_set(resolution: int) -> ModeSet:
     resolution = int(resolution)
     if resolution < 0:
         raise DegreeViolation(f"resolution must be >= 0, got {resolution}")
-    return tuple(
-        Mode(n, m)
-        for n in range(resolution + 1)
-        for m in range(-n, n + 1, 2)
-    )
+    return tuple(Mode(n, m) for n in range(resolution + 1) for m in range(-n, n + 1, 2))
 
 
 def radial_sweep_modes(n_max: int) -> ModeSet:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,16 @@ def test_bench_rejects_bad_ranges(runner):
     assert runner.invoke(main, ["bench", "--step", "0"]).exit_code == 2
 
 
+def test_bench_rejects_n_max_past_the_oracle_guard(runner):
+    with pytest.raises(ValueError, match="<= 150"):
+        run_bench(0, 151)
+    result = runner.invoke(
+        main, ["bench", "--n-max", "100000", "--grid-size", "100", "--reps", "3"]
+    )
+    assert result.exit_code == 2
+    assert "<= 150" in result.output
+
+
 # --- eval -----------------------------------------------------------------------
 
 
@@ -335,6 +346,19 @@ def test_eval_overflow_past_the_gate_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["eval", "--modes", str(modes), "--rho", str(rho)])
     assert result.exit_code == 2
     assert "n=1439, m=637" in result.output
+
+
+def test_eval_overflow_prints_no_runtime_warning(runner, tmp_path):
+    modes = tmp_path / "modes.txt"
+    rho = tmp_path / "rho.txt"
+    write_lines(modes, ["1439 637"])
+    write_lines(rho, ["0.0"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["eval", "--modes", str(modes), "--rho", str(rho)])
+    # a numpy warning would have raised instead of the usage error (exit 1)
+    assert result.exit_code == 2
+    assert "RuntimeWarning" not in result.output
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

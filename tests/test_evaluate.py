@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from zernkit.evaluate import (
     radial_at_zero,
     radial_direct,
     radial_jacobi,
+    radial_powers,
     radial_ztt,
     radial_ztt_table,
     zernike_eval,
@@ -61,6 +63,46 @@ def test_chain_rejects_bad_arguments():
         jacobi_chain(-1, 0, 0, [0.0])
     with pytest.raises(ValueError):
         jacobi_chain(2, -1, 0, [0.0])
+
+
+def reference_chain(j_max, alpha, beta, x):
+    """The recurrence in expression form, each degree assigned into its row."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    out = np.empty((j_max + 1, x.size), dtype=np.float64)
+    out[0] = 1.0
+    if j_max >= 1:
+        out[1] = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2
+    for j in range(2, j_max + 1):
+        c = 2 * j + alpha + beta
+        lead = 2 * j * (c - j) * (c - 2)
+        mid_x = (c - 1) * c * (c - 2)
+        mid_const = (c - 1) * (alpha * alpha - beta * beta)
+        last = 2 * (j + alpha - 1) * (j + beta - 1) * c
+        out[j] = ((mid_x * x + mid_const) * out[j - 1] - last * out[j - 2]) / lead
+    return out
+
+
+CHAIN_EDGES = [1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324]
+
+
+@given(
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.integers(0, 40),
+    st.lists(st.floats(-1.0, 1.0), max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_chain_matches_expression_form_bitwise(alpha, beta, j_max, points):
+    x = np.array(CHAIN_EDGES + points)
+    want = reference_chain(j_max, alpha, beta, x).tobytes()
+    assert jacobi_chain(j_max, alpha, beta, x).tobytes() == want
+    # a reused buffer, deeper than the chain and stale: every returned row
+    # must be written, and no row past j_max touched
+    buffer = np.full((j_max + 4, x.size), np.nan)
+    got = jacobi_chain(j_max, alpha, beta, x, out=buffer)
+    assert got.shape == (j_max + 1, x.size) and np.shares_memory(got, buffer)
+    assert got.tobytes() == want
+    assert np.isnan(buffer[j_max + 1 :]).all()
 
 
 def test_derivative_scale_values():
@@ -393,6 +435,29 @@ def test_assemble_matches_written_out_chain_rule_bitwise(k):
             assert assemble_radial(rho, m, j, k, own).tobytes() == want, (m, j)
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_assemble_into_given_row_matches_allocating_form_bitwise(k):
+    # the signed-zero grid of test_assemble_matches_written_out_chain_rule_bitwise
+    points = list(
+        itertools.product(
+            [0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0], *[[-0.0, 0.0, -1.5, 1.5]] * (k + 1)
+        )
+    )
+    rho = np.array([p[0] for p in points])
+    values = np.array([p[1:] for p in points]).T
+    shared = [np.outer(np.arange(1.0, 8 - i), values[i]) for i in range(k + 1)]
+    for m in range(13):
+        powers = radial_powers(rho, m, k)
+        for j in range(7):
+            want = assemble_radial(rho, m, j, k, shared).tobytes()
+            row = np.full_like(rho, np.nan)
+            assert assemble_radial(rho, m, j, k, shared, out=row) is row
+            assert row.tobytes() == want, (m, j)
+            row = np.full_like(rho, np.nan)
+            assemble_radial(rho, m, j, k, shared, out=row, powers=powers)
+            assert row.tobytes() == want, (m, j)
+
+
 def test_jacobi_argument_shared_form():
     rho = np.array([0.0, 0.5, 1.0])
     assert jacobi_argument(rho).tolist() == [1.0, 0.5, -1.0]
@@ -409,6 +474,16 @@ def test_radial_jacobi_overflow_is_value_error(k):
     n, m = FIRST_OVERFLOW
     with pytest.raises(ValueError, match=rf"n={n}, m={m}\) at derivative order {k}"):
         radial_jacobi(n, m, [0.0, 0.5], k)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_overflow_error_comes_without_runtime_warnings(k):
+    # past the gate the typed error is the whole report: numpy's overflow and
+    # invalid warnings would turn into exceptions here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"n=1439, m=637"):
+            radial_jacobi(*FIRST_OVERFLOW, [0.0], k)
 
 
 def test_radial_jacobi_past_the_gate_matches_oracle_where_finite():
