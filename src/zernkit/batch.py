@@ -8,8 +8,9 @@ in the identical order, so their outputs are bit-for-bit equal; the step
 counter, summed over the plan that ran, shows how much recomputation the
 cache avoids.
 
-Every group's chains reuse one buffer per derivative shift and share the
-group's powers of rho; each unique radial result is assembled in one row and
+Groups run in ascending alpha = |m|. Every group's chains reuse one buffer
+per derivative shift, and each power of rho is formed once per request, in
+one table by exponent; each unique radial result is assembled in one row and
 copied into every row it serves of one C-contiguous (modes, points) buffer.
 ``EvalMatrix.values`` is its transpose: points by modes, Fortran-ordered.
 """
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import (
+    PowerTable,
     assemble_radial,
     jacobi_argument,
     jacobi_chain,
@@ -68,27 +70,22 @@ def _chain_plan(
 ) -> tuple[list[ChainGroup], StepCounter]:
     """The chains a strategy runs for this plan, and the work they cost.
 
-    ``cached`` groups the unique keys by alpha = |m| and runs each shift's
-    chain once, to the group's highest degree; ``independent`` makes every
-    unique key its own group. This is the only place that knows the
-    difference.
+    Groups come in ascending alpha = |m|. ``cached`` makes one group per
+    alpha and runs each shift's chain once, to the group's highest degree;
+    ``independent`` makes every unique key its own group. This is the only
+    place that knows the difference.
     """
     rows: list[list[int]] = [[] for _ in plan.unique_keys]
     for row, slot in enumerate(plan.scatter):
         rows[slot].append(row)
+    by_alpha: dict[int, list[tuple[int, list[int]]]] = {}
+    for (n, alpha), served in zip(plan.unique_keys, rows):
+        by_alpha.setdefault(alpha, []).append(((n - alpha) // 2, served))
     groups: list[ChainGroup] = []
-    if strategy == "cached":
-        by_alpha: dict[int, list[tuple[int, list[int]]]] = {}
-        for (n, alpha), served in zip(plan.unique_keys, rows):
-            by_alpha.setdefault(alpha, []).append(((n - alpha) // 2, served))
-        for alpha in sorted(by_alpha):
-            entries = by_alpha[alpha]
-            j_max = max(j for j, _ in entries)
-            groups.append((alpha, range(j_max, j_max - deriv_order - 1, -1), entries))
-    else:
-        for (n, alpha), served in zip(plan.unique_keys, rows):
-            j = (n - alpha) // 2
-            groups.append((alpha, range(j, j - deriv_order - 1, -1), [(j, served)]))
+    for alpha, entries in sorted(by_alpha.items()):
+        for part in [entries] if strategy == "cached" else [[entry] for entry in entries]:
+            j_max = max(j for j, _ in part)
+            groups.append((alpha, range(j_max, j_max - deriv_order - 1, -1), part))
     run = [degree for _, degrees, _ in groups for degree in degrees if degree >= 0]
     return groups, StepCounter(sum(map(jacobi_recursion_steps, run)), len(run))
 
@@ -118,19 +115,21 @@ def _execute(request: BatchRequest, strategy: str) -> tuple[EvalMatrix, StepCoun
     # a copy stores into fresh output pages faster than an arithmetic ufunc:
     # assembling here first saves ~10% of full N = 100 at 10^4 points
     value = np.empty(rho.size)
+    table = PowerTable(rho)
     for alpha, degrees, entries in groups:
+        # groups run in ascending alpha: no later group reads an exponent below alpha - k
+        for e in [e for e in table if e < alpha - k]:
+            del table[e]
         with range_guard(alpha + 2 * degrees[0]):
             chains = [
                 jacobi_chain(degree, alpha + i, i, u, out=buffer) if degree >= 0 else None
                 for i, (degree, buffer) in enumerate(zip(degrees, buffers))
             ]
-            powers = radial_powers(rho, alpha, k)
+            powers = radial_powers(rho, alpha, k, table)
             for j, rows in entries:
                 assemble_radial(rho, alpha, j, k, chains, out=value, powers=powers)
                 for row in rows:
                     out[row] = value
-        # drop this group's powers before the next group computes its own
-        del powers
     return EvalMatrix(out.T, request.modes, k), counter
 
 

@@ -63,8 +63,8 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
     -----
     P_0 and P_1 are explicit base cases; the recursion is only applied for
     j >= 2, where its leading factor 2j(c-j)(c-2) with c = 2j+alpha+beta is
-    strictly positive for alpha, beta >= 0. Each step runs one ufunc per
-    operation, in order, through two scratch rows into row j.
+    strictly positive for alpha, beta >= 0. Each operation is one ufunc, in
+    order, through two scratch rows into row j; rows j-1 and j-2 are carried.
     """
     if j_max < 0:
         raise ValueError(f"chain degree must be >= 0, got {j_max}")
@@ -73,22 +73,28 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.empty((j_max + 1, x.size)) if out is None else out[: j_max + 1]
     out[0] = 1.0
-    if j_max >= 1:
-        out[1] = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2
-    acc, lag = np.empty((2, x.size))
+    if j_max == 0:
+        return out
+    multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
+    # P_1 = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2, rounded as written
+    prev, cur = out[0], out[1]
+    multiply(float(alpha + beta + 2), subtract(x, 1.0, cur), cur)
+    add(float(alpha + 1), divide(cur, 2.0, cur), cur)
+    acc, lag = np.empty(x.size), np.empty(x.size)
+    squares = alpha * alpha - beta * beta
     for j in range(2, j_max + 1):
         # rounded once here as numpy would round each int: same bits, less dispatch
         c = 2 * j + alpha + beta
         lead = float(2 * j * (c - j) * (c - 2))
         mid_x = float((c - 1) * c * (c - 2))
-        mid_const = float((c - 1) * (alpha * alpha - beta * beta))
+        mid_const = float((c - 1) * squares)
         last = float(2 * (j + alpha - 1) * (j + beta - 1) * c)
-        np.multiply(mid_x, x, out=acc)
-        np.add(acc, mid_const, out=acc)
-        np.multiply(acc, out[j - 1], out=acc)
-        np.multiply(last, out[j - 2], out=lag)
-        np.subtract(acc, lag, out=acc)
-        np.divide(acc, lead, out=out[j])
+        multiply(mid_x, x, acc)
+        add(acc, mid_const, acc)
+        multiply(acc, cur, acc)
+        multiply(last, prev, lag)
+        subtract(acc, lag, acc)
+        prev, cur = cur, divide(acc, lead, out[j])
     return out
 
 
@@ -124,9 +130,21 @@ _DERIVATIVE_WEIGHTS = (
 )
 
 
-def radial_powers(rho, m_abs: int, deriv_order: int) -> list[np.ndarray]:
-    """rho**max(m - k + 2i, 0) per shift i = 0..k, as assemble_radial reads them."""
-    return [rho ** max(m_abs - deriv_order + 2 * i, 0) for i in range(deriv_order + 1)]
+class PowerTable(dict):
+    """rho**e by exponent e, each formed on its first lookup and then kept."""
+
+    def __init__(self, rho):
+        self.rho = rho
+
+    def __missing__(self, e: int) -> np.ndarray:
+        return self.setdefault(e, self.rho**e)
+
+
+def radial_powers(rho, m_abs: int, deriv_order: int, table=None) -> list[np.ndarray]:
+    """rho**max(m - k + 2i, 0) per shift i = 0..k, as assemble_radial reads
+    them; from ``table``, a PowerTable of rho, when several m share one."""
+    table = PowerTable(rho) if table is None else table
+    return [table[max(m_abs - deriv_order + 2 * i, 0)] for i in range(deriv_order + 1)]
 
 
 def range_guard(n: int):

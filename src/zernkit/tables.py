@@ -17,8 +17,8 @@ class GridError(ValueError):
 
 
 def check_deriv_order(k: int, name: str = "derivative order") -> None:
-    """Reject a radial derivative order outside 0..MAX_DERIV_ORDER."""
-    if k not in range(MAX_DERIV_ORDER + 1):
+    """Reject a radial derivative order that is not an integer in 0..MAX_DERIV_ORDER."""
+    if not (isinstance(k, (int, np.integer)) and 0 <= k <= MAX_DERIV_ORDER):
         raise ValueError(f"{name} must be in 0..{MAX_DERIV_ORDER}, got {k}")
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import tracemalloc
 import warnings
 
@@ -15,6 +17,7 @@ from zernkit.batch import (
     evaluate_batch,
     independent_step_counter,
 )
+from zernkit.evaluate import PowerTable
 from zernkit.modes import Mode, dedup_plan, full_mode_set
 
 
@@ -243,3 +246,48 @@ def test_overflow_error_comes_without_runtime_warnings(strategy, k):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"n=1439, m=637"):
             evaluate_batch(request)
+
+
+@pytest.mark.parametrize("strategy", ["cached", "independent"])
+@pytest.mark.parametrize("k", range(4))
+def test_each_power_of_rho_is_formed_once(strategy, k, monkeypatch):
+    formed = []
+    form = PowerTable.__missing__
+
+    def counting(table, e):
+        formed.append(e)
+        return form(table, e)
+
+    monkeypatch.setattr(PowerTable, "__missing__", counting)
+    # repeated |m| across n, sign-flipped m, and alphas one apart, which
+    # share exponents from k = 1 on
+    modes = [(9, 3), (9, -3), (5, 3), (7, 1), (6, 0), (4, 4), (4, -4), (12, 2),
+             (8, -2), (11, 5), (3, -3)]
+    evaluate_batch(BatchRequest(modes, zk.linear_radial_grid(9), k, strategy))
+    alphas = {abs(m) for _, m in modes}
+    wanted = {max(alpha - k + 2 * i, 0) for alpha in alphas for i in range(k + 1)}
+    assert sorted(formed) == sorted(wanted)
+
+
+def seeded_points(seed, count):
+    draw = random.Random(seed)
+    return [draw.random() for _ in range(count)]
+
+
+# SHA-256 of values.tobytes() for the full N = 60 basis on PINNED_GRID: any
+# rework of the recurrence, the powers or the assembly must keep every bit.
+# CHANGES.md says how the digests were made.
+PINNED_GRID = [0.0, 5e-324, 1e-300, 1e-10, 1.0] + seeded_points(60, 300)
+PINNED_SHA256 = {
+    0: "213f5990fa3f7cf01220514d6382da35f9598174dbffbfb1ead2755cb1d8be83",
+    1: "394c31b7bba74fa8103a5df2f5e973ef2beeab40dbea1f58f9bd2b0fc29f4732",
+    2: "aa524e23fa9a42bad1ae4fd67b68970b9881d5a51901ac8ef14e49dd5447d7ae",
+    3: "d7bc91d458b24c70f3848d9c825b2705b0509befb0283c22129f07a568a0f848",
+}
+
+
+@pytest.mark.parametrize("strategy", ["cached", "independent"])
+@pytest.mark.parametrize("k", range(4))
+def test_full_basis_bits_are_pinned(strategy, k):
+    table, _ = evaluate_batch(BatchRequest(full_mode_set(60), PINNED_GRID, k, strategy))
+    assert hashlib.sha256(table.values.tobytes()).hexdigest() == PINNED_SHA256[k]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -55,3 +56,18 @@ def test_eval_matrix_shape_checks():
         EvalMatrix(values=np.zeros((5, 3)), modes=modes, deriv_order=0)
     with pytest.raises(ValueError):
         EvalMatrix(values=values, modes=modes, deriv_order=4)
+
+
+@pytest.mark.parametrize("order", [1.0, 2.5, "1", None])
+def test_non_integer_derivative_order_is_value_error(order):
+    modes = zk.as_mode_set([(4, 2)])
+    calls = (
+        lambda k: zk.evaluate_batch(zk.BatchRequest(modes, [0.5], k))[0].values,
+        lambda k: zk.radial_jacobi(4, 2, [0.5], k),
+        lambda k: zk.oracle_table(modes, [0.5], k).values,
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"got {order}")):
+            call(order)
+        # a numpy integer is an order like any other
+        assert np.array_equal(call(np.int64(2)), call(2))
