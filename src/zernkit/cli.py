@@ -22,7 +22,7 @@ import numpy as np
 
 from .batch import BatchRequest, evaluate_batch
 from .exact import max_abs_error, oracle_table, precision_sweep
-from .evaluate import angular_factor, pointwise_grids, radial_direct, radial_ztt_table
+from .evaluate import MAX_ACCURACY_N, angular_factor, pointwise_grids, radial_direct, radial_ztt_table
 from .modes import Mode, ModeError, ModeSet, full_mode_set, make_mode, radial_sweep_modes
 from .tables import (
     EvalMatrix,
@@ -44,7 +44,6 @@ BENCH_HEADER = (
 )
 PRECISION_HEADER = ("bits", "max_deviation")
 
-MAX_ACCURACY_N = 150  # oracle cost guard
 MIN_SAMPLE_NS = 20_000_000  # shortest timed loop per bench repetition
 
 

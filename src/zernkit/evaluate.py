@@ -30,6 +30,18 @@ from .tables import angular_grid, check_deriv_order, radial_grid
 # underflows, and 0 * inf is NaN: the first such output is (n, m) = (1439, 637).
 CHECKED_MIN_DEGREE = 1024
 
+# Highest mode degree the CLI's sweeps take (the oracle's cost guard), and the
+# range of the recurrence coefficient table: every chain a mode of degree
+# n <= MAX_ACCURACY_N reads at k <= 3 has beta <= 3, alpha <= n + 3, j <= n // 2.
+MAX_ACCURACY_N = 150
+# (lead, mid_x, mid_const, last) of degree j >= 2 at [beta, alpha, j], reserved
+# at import (1.5 MB) and filled per (beta, alpha) block on first use, up to the
+# degree recorded in _FILLED; a request touches pages but allocates nothing.
+_COEFFS = np.empty((4, MAX_ACCURACY_N + 4, MAX_ACCURACY_N // 2 + 1, 4))
+_FILLED = [[1] * (MAX_ACCURACY_N + 4) for _ in range(4)]
+_ONE, _TWO = np.array(1.0), np.array(2.0)
+_ONE.flags.writeable = _TWO.flags.writeable = False
+
 
 def jacobi_argument(rho: np.ndarray) -> np.ndarray:
     """Map radial points into Jacobi domain: u = 1 - 2*rho**2.
@@ -37,6 +49,30 @@ def jacobi_argument(rho: np.ndarray) -> np.ndarray:
     Single definition so every evaluation path uses bit-identical inputs.
     """
     return 1.0 - 2.0 * rho * rho
+
+
+def _fill_coefficients(rows, alpha: int, beta: int, lo: int, hi: int) -> None:
+    """Round the recurrence's integer coefficients of degrees lo..hi-1 into rows."""
+    for j in range(lo, hi):
+        c = 2 * j + alpha + beta
+        lead, last = 2 * j * (c - j) * (c - 2), 2 * (j + alpha - 1) * (j + beta - 1) * c
+        mid_const = (c - 1) * (alpha * alpha - beta * beta)
+        rows[j] = float(lead), float((c - 1) * c * (c - 2)), float(mid_const), float(last)
+
+
+def _coefficient_rows(j_max: int, alpha: int, beta: int) -> np.ndarray:
+    """Coefficient rows 2..j_max of one chain: from the table in its range,
+    else built for this call. Each write is the exact value and a marker moves
+    after its rows, so concurrent fills need no lock: at worst one refills."""
+    if beta < 4 and alpha <= MAX_ACCURACY_N + 3 and j_max <= MAX_ACCURACY_N // 2:
+        filled = _FILLED[beta]
+        if filled[alpha] < j_max:
+            _fill_coefficients(_COEFFS[beta, alpha], alpha, beta, filled[alpha] + 1, j_max + 1)
+            filled[alpha] = j_max
+        return _COEFFS[beta, alpha, 2 : j_max + 1]
+    rows = np.empty((j_max + 1, 4))
+    _fill_coefficients(rows, alpha, beta, 2, j_max + 1)
+    return rows[2:]
 
 
 def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
@@ -65,6 +101,9 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
     j >= 2, where its leading factor 2j(c-j)(c-2) with c = 2j+alpha+beta is
     strictly positive for alpha, beta >= 0. Each operation is one ufunc, in
     order, through two scratch rows into row j; rows j-1 and j-2 are carried.
+    The integer coefficients are rounded once, into a table shared by every
+    mode of degree <= MAX_ACCURACY_N, and reach the ufuncs as 0-d views of one
+    (4,) array refilled per step: numpy converts a Python float on every call.
     """
     if j_max < 0:
         raise ValueError(f"chain degree must be >= 0, got {j_max}")
@@ -78,23 +117,20 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
     multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
     # P_1 = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2, rounded as written
     prev, cur = out[0], out[1]
-    multiply(float(alpha + beta + 2), subtract(x, 1.0, cur), cur)
-    add(float(alpha + 1), divide(cur, 2.0, cur), cur)
-    acc, lag = np.empty(x.size), np.empty(x.size)
-    squares = alpha * alpha - beta * beta
-    for j in range(2, j_max + 1):
-        # rounded once here as numpy would round each int: same bits, less dispatch
-        c = 2 * j + alpha + beta
-        lead = float(2 * j * (c - j) * (c - 2))
-        mid_x = float((c - 1) * c * (c - 2))
-        mid_const = float((c - 1) * squares)
-        last = float(2 * (j + alpha - 1) * (j + beta - 1) * c)
+    multiply(float(alpha + beta + 2), subtract(x, _ONE, cur), cur)
+    add(float(alpha + 1), divide(cur, _TWO, cur), cur)
+    if j_max == 1:
+        return out
+    acc, lag, coeffs = np.empty(x.size), np.empty(x.size), np.empty(4)
+    lead, mid_x, mid_const, last = coeffs[0, ...], coeffs[1, ...], coeffs[2, ...], coeffs[3, ...]
+    for row, dest in zip(_coefficient_rows(j_max, alpha, beta), out[2:]):
+        coeffs[...] = row
         multiply(mid_x, x, acc)
         add(acc, mid_const, acc)
         multiply(acc, cur, acc)
         multiply(last, prev, lag)
         subtract(acc, lag, acc)
-        prev, cur = cur, divide(acc, lead, out[j])
+        prev, cur = cur, divide(acc, lead, dest)
     return out
 
 
@@ -199,7 +235,7 @@ def assemble_radial(
         if i:
             np.add(out, term, out=out)
     if j & 1:
-        np.multiply(-1.0, out, out=out)
+        np.negative(out, out=out)
     n = m + 2 * j
     if n >= CHECKED_MIN_DEGREE and not np.all(np.isfinite(out)):
         raise ValueError(

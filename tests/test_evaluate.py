@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi
 
 import zernkit as zk
+from zernkit import evaluate
 from zernkit.evaluate import (
     CHECKED_MIN_DEGREE,
     angular_factor,
@@ -83,12 +86,14 @@ def reference_chain(j_max, alpha, beta, x):
 
 
 CHAIN_EDGES = [1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324]
+# first alpha and first degree past the shared coefficient table
+ALPHA_END, DEGREE_END = evaluate._COEFFS.shape[1:3]
 
 
 @given(
+    st.integers(0, 12) | st.integers(ALPHA_END - 3, ALPHA_END + 3),
     st.integers(0, 12),
-    st.integers(0, 12),
-    st.integers(0, 40),
+    st.integers(0, 40) | st.integers(DEGREE_END - 3, DEGREE_END + 3),
     st.lists(st.floats(-1.0, 1.0), max_size=6),
 )
 @settings(max_examples=150, deadline=None)
@@ -103,6 +108,78 @@ def test_chain_matches_expression_form_bitwise(alpha, beta, j_max, points):
     assert got.shape == (j_max + 1, x.size) and np.shares_memory(got, buffer)
     assert got.tobytes() == want
     assert np.isnan(buffer[j_max + 1 :]).all()
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """An unfilled coefficient table in place of the shared one; NaN rows
+    make any read of a row not yet written show in the chain."""
+    table = np.full_like(evaluate._COEFFS, np.nan)
+    filled = [[1] * ALPHA_END for _ in range(4)]
+    monkeypatch.setattr(evaluate, "_COEFFS", table)
+    monkeypatch.setattr(evaluate, "_FILLED", filled)
+    return table, filled
+
+
+def test_table_fills_in_any_order(fresh_table):
+    table, filled = fresh_table
+    x = np.array(CHAIN_EDGES + [0.3, -0.7])
+    deepest = DEGREE_END - 1
+
+    def check(j_max, alpha, beta, got=None):
+        got = jacobi_chain(j_max, alpha, beta, x) if got is None else got
+        assert got.tobytes() == reference_chain(j_max, alpha, beta, x).tobytes()
+
+    # a deep chain after a shallow one, and a shallow one after a deep one
+    for depths, alpha, beta in [(5, deepest), 3, 1], [(deepest, 5), 4, 2]:
+        for j_max in depths:
+            check(j_max, alpha, beta)
+        assert filled[beta][alpha] == deepest
+    # four threads filling one fresh block to different depths, several times,
+    # switching as often as the interpreter allows
+    depths = [deepest, 3, 20, 40]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for alpha in (7, 60, ALPHA_END - 1):
+            start, results = threading.Barrier(len(depths)), {}
+
+            def run(j_max, alpha=alpha, start=start, results=results):
+                start.wait(timeout=30)
+                results[j_max] = jacobi_chain(j_max, alpha, 3, x)
+
+            threads = [threading.Thread(target=run, args=(j,)) for j in depths]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            for j_max in depths:
+                check(j_max, alpha, 3, results[j_max])
+            # a marker set back by a slower thread refills; every kept row is exact
+            check(deepest, alpha, 3)
+            want = np.full((DEGREE_END, 4), np.nan)
+            evaluate._fill_coefficients(want, alpha, 3, 2, DEGREE_END)
+            assert table[3, alpha, 2:].tobytes() == want[2:].tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_first_use_of_the_table_allocates_no_memory(fresh_table):
+    x = np.linspace(-1.0, 1.0, 1000)
+    buffer = np.empty((DEGREE_END, x.size))
+    keys = [(alpha, beta) for beta in range(4) for alpha in (0, 1, 50, ALPHA_END - 1)]
+    tracemalloc.start()
+    try:
+        for alpha, beta in keys:
+            jacobi_chain(DEGREE_END - 1, alpha, beta, x, out=buffer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two scratch rows, plus ~2 KB of array headers and first-call state;
+    # coefficients kept per key would add 2.4 KB for each of the 16 keys
+    assert peak <= 2 * x.nbytes + 3 * 1024, peak
+    assert fresh_table[1][0][ALPHA_END - 1] == DEGREE_END - 1
 
 
 def test_derivative_scale_values():
