@@ -11,9 +11,9 @@ import csv
 import functools
 import itertools
 import json
-import statistics
 import sys
 import time
+import timeit
 from dataclasses import astuple, dataclass, replace
 from typing import Sequence
 
@@ -44,7 +44,8 @@ BENCH_HEADER = (
 )
 PRECISION_HEADER = ("bits", "max_deviation")
 
-MIN_SAMPLE_NS = 20_000_000  # shortest timed loop per bench repetition
+MIN_SAMPLE_NS = 20_000_000  # shortest timed loop per bench sample
+PASSES_PER_REP = 3  # bench passes over all rows per repetition
 
 
 class OutputError(click.ClickException):
@@ -125,45 +126,41 @@ def run_accuracy(
     return rows
 
 
-def _loop_ns(fn, number: int) -> int:
-    t0 = time.perf_counter_ns()
-    for _ in range(number):
-        fn()
-    return time.perf_counter_ns() - t0
-
-
-def _autorange_ns(fn) -> tuple[int, int]:
+def _autorange_ns(timer: timeit.Timer) -> tuple[int, int]:
     """First (loop count, loop ns) whose loop of calls lasts MIN_SAMPLE_NS.
 
     The count grows 1, 2, 5, 10, 20, ... as in ``timeit.Timer.autorange``.
     """
     for scale in itertools.count():
         for number in (10**scale, 2 * 10**scale, 5 * 10**scale):
-            ns = _loop_ns(fn, number)
+            ns = timer.timeit(number)
             if ns >= MIN_SAMPLE_NS:
                 return number, ns
 
 
-def _timed_ns(fns, repetitions: int) -> list[int]:
-    """Median per-call wall time of each function over ``repetitions`` samples.
+def _timed_ns(fns, repetitions: int, series_len: int) -> list[int]:
+    """Drift-corrected median per-call wall time of each function, in ns.
 
-    A single call of a few ms is at the mercy of scheduler noise, so each
-    sample times a loop of calls lasting >= MIN_SAMPLE_NS; the loop that sets
-    a function's loop count is its first sample. The host's speed also
-    drifts in phases of about a second, so the repetitions run round-robin
-    over all functions: a slow phase then costs every function one sample
-    instead of costing one function all of them.
+    ``fns`` is a run of series of ``series_len`` functions. Each sample times
+    a loop of calls lasting >= MIN_SAMPLE_NS, since a single call of a few ms
+    is at the mercy of scheduler noise; the loop that sets a function's loop
+    count is its first sample. ``timeit`` turns the cyclic garbage collector
+    off while it times: a collection costs in proportion to every object in
+    the process, not to the work timed. The host's speed drifts by up to 2x
+    for seconds at a time, so the samples of each of the PASSES_PER_REP *
+    repetitions passes are divided by the series' speed in that pass: the
+    median over the series of sample / the function's median sample.
     """
-    numbers: list[int] = []
-    samples: list[list[float]] = []
-    for fn in fns:
-        number, ns = _autorange_ns(fn)
-        numbers.append(number)
-        samples.append([ns / number])
-    for _ in range(repetitions - 1):
-        for fn, number, out in zip(fns, numbers, samples):
-            out.append(_loop_ns(fn, number) / number)
-    return [int(statistics.median(s)) for s in samples]
+    timers = [timeit.Timer(fn, timer=time.perf_counter_ns) for fn in fns]
+    first = [_autorange_ns(timer) for timer in timers]
+    numbers = [number for number, _ in first]
+    samples = [[ns / number] for number, ns in first]
+    for _ in range(PASSES_PER_REP * repetitions - 1):
+        for timer, number, out in zip(timers, numbers, samples):
+            out.append(timer.timeit(number) / number)
+    table = np.array(samples).reshape(-1, series_len, len(samples[0]))  # series, fn, pass
+    speed = np.median(table / np.median(table, axis=2, keepdims=True), axis=1, keepdims=True)
+    return [int(wall) for wall in np.median(table / speed, axis=2).ravel()]
 
 
 def run_bench(
@@ -179,8 +176,10 @@ def run_bench(
     """Time full-mode-set evaluation per resolution, grid size and strategy.
 
     After one untimed warm-up call per row, each of the >= 3 repetitions
-    times a loop of calls lasting >= 20 ms on the monotonic clock;
-    wall_ns_median is the median per-call time. Baseline methods (direct,
+    makes three passes over all rows, each timing a loop of calls lasting
+    >= 20 ms per row on the monotonic clock; wall_ns_median is the median
+    per-call time, corrected for the host's speed in each pass of each
+    (grid, method, strategy) series. Baseline methods (direct,
     ztt) are timed per-mode with strategy label ``permode``; recursion_steps
     counts Jacobi recursion applications, so baseline rows record 0. Records
     are ordered by resolution, then grid size, method and strategy as given.
@@ -198,8 +197,8 @@ def run_bench(
     resolutions = range(n_min, n_max + 1, step)
     mode_sets = {resolution: full_mode_set(resolution) for resolution in resolutions}
     # queued one series (grid, method, strategy) at a time, so that each
-    # repetition round times the neighbouring resolutions of a series back
-    # to back; wall_ns_median is filled in once all rows are timed
+    # pass times the neighbouring resolutions of a series back to back;
+    # wall_ns_median is filled in once all rows are timed
     pending: list[tuple[BenchRecord, functools.partial]] = []
     for grid_size in grid_sizes:
         grid = linear_radial_grid(grid_size)
@@ -219,7 +218,7 @@ def run_bench(
                         method, strategy, resolution, grid_size, 0, steps, repetitions
                     )
                     pending.append((record, call))
-    walls = _timed_ns([call for _, call in pending], repetitions)
+    walls = _timed_ns([call for _, call in pending], repetitions, len(resolutions))
     records = [
         replace(record, wall_ns_median=wall)
         for (record, _), wall in zip(pending, walls)
