@@ -89,6 +89,12 @@ def _candidate_matrix(method: str, modes: ModeSet, grid, deriv_order: int) -> Ev
     raise ValueError(f"unknown method {method!r}")
 
 
+def _check_n_max(n_max: int) -> None:
+    """The oracle's cost guard, shared by every sweep: n_max in 0..MAX_ACCURACY_N."""
+    if not 0 <= n_max <= MAX_ACCURACY_N:
+        raise ValueError(f"need 0 <= n_max <= {MAX_ACCURACY_N}, got {n_max}")
+
+
 def run_accuracy(
     n_max: int,
     methods: Sequence[str] = METHODS,
@@ -103,8 +109,7 @@ def run_accuracy(
     candidates their binary64 roundings. ztt rows exist only for k = 0.
     ``serial`` is accepted for compatibility: evaluation is single-threaded.
     """
-    if n_max < 0 or n_max > MAX_ACCURACY_N:
-        raise ValueError(f"n_max must be in 0..{MAX_ACCURACY_N}, got {n_max}")
+    _check_n_max(n_max)
     check_deriv_order(k_max, "k_max")
     for method in methods:
         if method not in METHODS:
@@ -185,8 +190,9 @@ def run_bench(
     are ordered by resolution, then grid size, method and strategy as given.
     ``serial`` is accepted for compatibility: evaluation is single-threaded.
     """
-    if n_min < 0 or n_min > n_max or n_max > MAX_ACCURACY_N:
-        raise ValueError(f"need 0 <= n_min <= n_max <= {MAX_ACCURACY_N}, got {n_min}..{n_max}")
+    _check_n_max(n_max)
+    if not 0 <= n_min <= n_max:
+        raise ValueError(f"need 0 <= n_min <= n_max, got {n_min}..{n_max}")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     if repetitions < 3:
@@ -231,6 +237,7 @@ def run_precision(
     n_max: int, bits: Sequence[int], grid_size: int = 100
 ) -> list[tuple[int, float]]:
     """Precision sweep rows (bits, max_deviation), ascending bits."""
+    _check_n_max(n_max)
     return precision_sweep(n_max, sorted(set(int(b) for b in bits)), rational_radial_grid(grid_size))
 
 

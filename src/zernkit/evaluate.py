@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 
 import numpy as np
 
@@ -34,11 +35,23 @@ CHECKED_MIN_DEGREE = 1024
 # range of the recurrence coefficient table: every chain a mode of degree
 # n <= MAX_ACCURACY_N reads at k <= 3 has beta <= 3, alpha <= n + 3, j <= n // 2.
 MAX_ACCURACY_N = 150
-# (lead, mid_x, mid_const, last) of degree j >= 2 at [beta, alpha, j], reserved
-# at import (1.5 MB) and filled per (beta, alpha) block on first use, up to the
-# degree recorded in _FILLED; a request touches pages but allocates nothing.
-_COEFFS = np.empty((4, MAX_ACCURACY_N + 4, MAX_ACCURACY_N // 2 + 1, 4))
-_FILLED = [[1] * (MAX_ACCURACY_N + 4) for _ in range(4)]
+
+
+def _coefficients(j, alpha: int, beta: int) -> np.ndarray:
+    """Rows (lead, mid_x, mid_const, last) at integer degrees j >= 2, each rounded once."""
+    c = 2 * j + alpha + beta
+    lead, last = 2 * j * (c - j) * (c - 2), 2 * (j + alpha - 1) * (j + beta - 1) * c
+    terms = lead, (c - 1) * c * (c - 2), (c - 1) * (alpha * alpha - beta * beta), last
+    return np.stack(np.broadcast_arrays(*terms), axis=-1).astype(np.float64)
+
+
+# [beta, alpha, j] for j >= 2 (rows 0 and 1 unused): 1.5 MB, read-only, filled one
+# beta at a time in int64, which is exact: every factor is below 2**53 (<= 28,372,320).
+_COEFFS = np.zeros((4, MAX_ACCURACY_N + 4, MAX_ACCURACY_N // 2 + 1, 4))
+_ALPHAS, _DEGREES = np.ogrid[: _COEFFS.shape[1], 2 : _COEFFS.shape[2]]
+for _beta in range(4):
+    _COEFFS[_beta, :, 2:] = _coefficients(_DEGREES, _ALPHAS, _beta)
+_COEFFS.flags.writeable = False
 _ONE, _TWO = np.array(1.0), np.array(2.0)
 _ONE.flags.writeable = _TWO.flags.writeable = False
 
@@ -51,28 +64,11 @@ def jacobi_argument(rho: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * rho * rho
 
 
-def _fill_coefficients(rows, alpha: int, beta: int, lo: int, hi: int) -> None:
-    """Round the recurrence's integer coefficients of degrees lo..hi-1 into rows."""
-    for j in range(lo, hi):
-        c = 2 * j + alpha + beta
-        lead, last = 2 * j * (c - j) * (c - 2), 2 * (j + alpha - 1) * (j + beta - 1) * c
-        mid_const = (c - 1) * (alpha * alpha - beta * beta)
-        rows[j] = float(lead), float((c - 1) * c * (c - 2)), float(mid_const), float(last)
-
-
 def _coefficient_rows(j_max: int, alpha: int, beta: int) -> np.ndarray:
-    """Coefficient rows 2..j_max of one chain: from the table in its range,
-    else built for this call. Each write is the exact value and a marker moves
-    after its rows, so concurrent fills need no lock: at worst one refills."""
+    """Coefficient rows 2..j_max of one chain: the table's, else built from Python ints."""
     if beta < 4 and alpha <= MAX_ACCURACY_N + 3 and j_max <= MAX_ACCURACY_N // 2:
-        filled = _FILLED[beta]
-        if filled[alpha] < j_max:
-            _fill_coefficients(_COEFFS[beta, alpha], alpha, beta, filled[alpha] + 1, j_max + 1)
-            filled[alpha] = j_max
         return _COEFFS[beta, alpha, 2 : j_max + 1]
-    rows = np.empty((j_max + 1, 4))
-    _fill_coefficients(rows, alpha, beta, 2, j_max + 1)
-    return rows[2:]
+    return _coefficients(np.arange(2, j_max + 1, dtype=object), alpha, beta)
 
 
 def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
@@ -101,14 +97,17 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
     j >= 2, where its leading factor 2j(c-j)(c-2) with c = 2j+alpha+beta is
     strictly positive for alpha, beta >= 0. Each operation is one ufunc, in
     order, through two scratch rows into row j; rows j-1 and j-2 are carried.
-    The integer coefficients are rounded once, into a table shared by every
-    mode of degree <= MAX_ACCURACY_N, and reach the ufuncs as 0-d views of one
-    (4,) array refilled per step: numpy converts a Python float on every call.
+    The integer coefficients are rounded once, read from a constant table for
+    every chain a mode of degree <= MAX_ACCURACY_N reads at k <= 3, and reach
+    the ufuncs as 0-d views of one (4,) array refilled per step: numpy converts
+    a Python float operand on every call.
     """
-    if j_max < 0:
-        raise ValueError(f"chain degree must be >= 0, got {j_max}")
-    if alpha < 0 or beta < 0:
-        raise ValueError(f"need alpha, beta >= 0, got ({alpha}, {beta})")
+    try:
+        j_max, alpha, beta = operator.index(j_max), operator.index(alpha), operator.index(beta)
+    except TypeError:
+        raise ValueError(f"need integers, got j_max={j_max!r}, ({alpha!r}, {beta!r})") from None
+    if min(j_max, alpha, beta) < 0:
+        raise ValueError(f"need j_max, alpha, beta >= 0, got {j_max}, ({alpha}, {beta})")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.empty((j_max + 1, x.size)) if out is None else out[: j_max + 1]
     out[0] = 1.0

@@ -78,9 +78,7 @@ def differentiate_exact(poly: ExactRadialPoly, order: int) -> ExactRadialPoly:
 
 def eval_exact(poly: ExactRadialPoly, rho: Fraction | int) -> Fraction:
     """Exact rational Horner evaluation at rho in [0, 1]. No rounding anywhere."""
-    rho = Fraction(rho)
-    if rho < 0 or rho > 1:
-        raise GridError(f"rho must lie in [0, 1], got {rho}")
+    rho = _unit_point(rho)
     num, den = _eval_terms_rational(poly.terms, rho.numerator, rho.denominator)
     return Fraction(num, den)
 
@@ -143,13 +141,20 @@ def _exact_columns(
     return columns
 
 
+def _unit_point(x) -> Fraction:
+    """x as an exact Fraction; GridError unless it is a finite point of [0, 1]."""
+    try:
+        p = Fraction(x)
+    except (OverflowError, ValueError):  # inf, NaN
+        raise GridError(f"rho must be a finite point of [0, 1], got {x!r}") from None
+    if p < 0 or p > 1:
+        raise GridError(f"rho must lie in [0, 1], got {p}")
+    return p
+
+
 def _as_fractions(grid) -> tuple[Fraction, ...]:
     values = grid.tolist() if isinstance(grid, np.ndarray) else grid
-    points = tuple(Fraction(x) for x in values)
-    for p in points:
-        if p < 0 or p > 1:
-            raise GridError(f"rho must lie in [0, 1], got {p}")
-    return points
+    return tuple(_unit_point(x) for x in values)
 
 
 def oracle_table(modes: ModeSet, grid, deriv_order: int = 0) -> EvalMatrix:

@@ -7,6 +7,7 @@ repeated modes can be folded to unique radial keys and scattered back.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,6 +28,14 @@ class ParityViolation(ModeError):
     """n - |m| is odd."""
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int: ints and numpy integers pass, anything else is a ModeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ModeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Mode:
     """A validated (n, m) index pair."""
@@ -35,6 +44,8 @@ class Mode:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer("n", self.n))
+        object.__setattr__(self, "m", _integer("m", self.m))
         if self.n < 0:
             raise DegreeViolation(f"radial degree must be >= 0, got n={self.n}")
         if abs(self.m) > self.n:
@@ -58,17 +69,18 @@ ModeSet = tuple[Mode, ...]
 def make_mode(n: int, m: int) -> Mode:
     """Validate and build a Mode.
 
-    Raises DegreeViolation for n < 0, BoundViolation for |m| > n and
-    ParityViolation for odd n - |m|.
+    Raises ModeError for a non-integer, DegreeViolation for n < 0,
+    BoundViolation for |m| > n and ParityViolation for odd n - |m|.
     """
-    return Mode(int(n), int(m))
+    return Mode(n, m)
 
 
 def radial_mode(n: int, m_abs: int) -> Mode:
     """Validate a radial key (n, |m|) and build its Mode; m_abs must be >= 0."""
-    if m_abs < 0:
+    mode = make_mode(n, m_abs)
+    if mode.m < 0:
         raise ValueError("m_abs must be non-negative")
-    return make_mode(n, m_abs)
+    return mode
 
 
 def as_mode_set(pairs: Iterable) -> ModeSet:
@@ -89,7 +101,7 @@ def full_mode_set(resolution: int) -> ModeSet:
     The set has (resolution + 1)(resolution + 2) / 2 entries; m runs over
     {-n, -n+2, ..., n-2, n} for each n.
     """
-    resolution = int(resolution)
+    resolution = _integer("resolution", resolution)
     if resolution < 0:
         raise DegreeViolation(f"resolution must be >= 0, got {resolution}")
     return tuple(Mode(n, m) for n in range(resolution + 1) for m in range(-n, n + 1, 2))

@@ -217,6 +217,16 @@ def test_bench_rejects_n_max_past_the_oracle_guard(runner):
     assert "<= 150" in result.output
 
 
+def test_precision_rejects_n_max_past_the_oracle_guard(runner):
+    with pytest.raises(ValueError, match="<= 150"):
+        run_precision(151, [53], 2)
+    result = runner.invoke(
+        main, ["precision", "--n-max", "100000", "--bits", "53", "--grid-size", "2"]
+    )
+    assert result.exit_code == 2
+    assert "<= 150" in result.output
+
+
 # --- eval -----------------------------------------------------------------------
 
 

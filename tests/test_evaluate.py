@@ -1,6 +1,4 @@
 import itertools
-import sys
-import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -62,10 +60,14 @@ def test_chain_matches_scipy(alpha, beta):
 
 
 def test_chain_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        jacobi_chain(-1, 0, 0, [0.0])
-    with pytest.raises(ValueError):
-        jacobi_chain(2, -1, 0, [0.0])
+    for args in [(-1, 0, 0), (2, -1, 0), (2.5, 1, 1), (3, 1.5, 1), (3, 1, 2.0), ("3", 1, 1)]:
+        with pytest.raises(ValueError):
+            jacobi_chain(*args, [0.0])
+    # numpy integers are integers, in the table's range and past it
+    x = np.array([-0.5, 0.25])
+    for alpha in (2, 10**7):
+        want = jacobi_chain(3, alpha, 1, x).tobytes()
+        assert jacobi_chain(np.int64(3), np.int64(alpha), np.int32(1), x).tobytes() == want
 
 
 def reference_chain(j_max, alpha, beta, x):
@@ -110,62 +112,38 @@ def test_chain_matches_expression_form_bitwise(alpha, beta, j_max, points):
     assert np.isnan(buffer[j_max + 1 :]).all()
 
 
-@pytest.fixture
-def fresh_table(monkeypatch):
-    """An unfilled coefficient table in place of the shared one; NaN rows
-    make any read of a row not yet written show in the chain."""
-    table = np.full_like(evaluate._COEFFS, np.nan)
-    filled = [[1] * ALPHA_END for _ in range(4)]
-    monkeypatch.setattr(evaluate, "_COEFFS", table)
-    monkeypatch.setattr(evaluate, "_FILLED", filled)
-    return table, filled
+def integer_coefficients(j, alpha, beta):
+    """(lead, mid_x, mid_const, last) as Python ints, as reference_chain writes them."""
+    c = 2 * j + alpha + beta
+    return (
+        2 * j * (c - j) * (c - 2),
+        (c - 1) * c * (c - 2),
+        (c - 1) * (alpha * alpha - beta * beta),
+        2 * (j + alpha - 1) * (j + beta - 1) * c,
+    )
 
 
-def test_table_fills_in_any_order(fresh_table):
-    table, filled = fresh_table
+def test_table_holds_each_integer_coefficient_rounded_once():
+    table = evaluate._COEFFS
+    for beta, alpha in itertools.product(range(4), range(ALPHA_END)):
+        for j in range(2, DEGREE_END):
+            want = [float(v) for v in integer_coefficients(j, alpha, beta)]
+            assert table[beta, alpha, j].tolist() == want, (beta, alpha, j)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 2, 0] = 0.0
+
+
+@pytest.mark.parametrize("alpha", [10**6, 10**7])
+def test_coefficients_past_the_table_round_python_ints_once(alpha):
+    # past 2**53 an entry is rounded; at 10**7 int64 arithmetic would wrap
+    want = [[float(v) for v in integer_coefficients(j, alpha, 2)] for j in range(2, 9)]
+    assert max(map(max, want)) > 2**53
+    assert evaluate._coefficient_rows(8, alpha, 2).tolist() == want
     x = np.array(CHAIN_EDGES + [0.3, -0.7])
-    deepest = DEGREE_END - 1
-
-    def check(j_max, alpha, beta, got=None):
-        got = jacobi_chain(j_max, alpha, beta, x) if got is None else got
-        assert got.tobytes() == reference_chain(j_max, alpha, beta, x).tobytes()
-
-    # a deep chain after a shallow one, and a shallow one after a deep one
-    for depths, alpha, beta in [(5, deepest), 3, 1], [(deepest, 5), 4, 2]:
-        for j_max in depths:
-            check(j_max, alpha, beta)
-        assert filled[beta][alpha] == deepest
-    # four threads filling one fresh block to different depths, several times,
-    # switching as often as the interpreter allows
-    depths = [deepest, 3, 20, 40]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for alpha in (7, 60, ALPHA_END - 1):
-            start, results = threading.Barrier(len(depths)), {}
-
-            def run(j_max, alpha=alpha, start=start, results=results):
-                start.wait(timeout=30)
-                results[j_max] = jacobi_chain(j_max, alpha, 3, x)
-
-            threads = [threading.Thread(target=run, args=(j,)) for j in depths]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-            for j_max in depths:
-                check(j_max, alpha, 3, results[j_max])
-            # a marker set back by a slower thread refills; every kept row is exact
-            check(deepest, alpha, 3)
-            want = np.full((DEGREE_END, 4), np.nan)
-            evaluate._fill_coefficients(want, alpha, 3, 2, DEGREE_END)
-            assert table[3, alpha, 2:].tobytes() == want[2:].tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    assert jacobi_chain(8, alpha, 2, x).tobytes() == reference_chain(8, alpha, 2, x).tobytes()
 
 
-def test_first_use_of_the_table_allocates_no_memory(fresh_table):
+def test_table_chains_allocate_only_scratch_rows():
     x = np.linspace(-1.0, 1.0, 1000)
     buffer = np.empty((DEGREE_END, x.size))
     keys = [(alpha, beta) for beta in range(4) for alpha in (0, 1, 50, ALPHA_END - 1)]
@@ -179,7 +157,6 @@ def test_first_use_of_the_table_allocates_no_memory(fresh_table):
     # the two scratch rows, plus ~2 KB of array headers and first-call state;
     # coefficients kept per key would add 2.4 KB for each of the 16 keys
     assert peak <= 2 * x.nbytes + 3 * 1024, peak
-    assert fresh_table[1][0][ALPHA_END - 1] == DEGREE_END - 1
 
 
 def test_derivative_scale_values():

@@ -108,6 +108,9 @@ def test_eval_exact_rejects_out_of_range():
         eval_exact(poly, Fraction(3, 2))
     with pytest.raises(GridError):
         eval_exact(poly, -1)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(GridError, match="finite"):
+            eval_exact(poly, bad)
 
 
 @given(
@@ -187,6 +190,11 @@ def test_oracle_table_matches_eval_exact_on_mixed_denominators(k):
 def test_oracle_table_rejects_out_of_range_grid():
     with pytest.raises(GridError):
         oracle_table(zk.as_mode_set([(0, 0)]), [Fraction(5, 4)], 0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(GridError, match="finite"):
+            oracle_table(zk.as_mode_set([(0, 0)]), np.array([0.5, bad]), 0)
+        with pytest.raises(GridError, match="finite"):
+            zk.precision_sweep(2, [53], [bad])
 
 
 def test_max_abs_error_rows():

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +34,19 @@ def test_make_mode_rejects_with_distinct_causes():
         make_mode(2, 3)
     with pytest.raises(DegreeViolation):
         make_mode(-1, 0)
+    # modes are integers: nothing is truncated, numpy integers become ints
+    for bad in (2.5, 2.0, "4", None):
+        for pair in [(bad, 0), (4, bad)]:
+            with pytest.raises(ModeError, match=re.escape(repr(bad))):
+                make_mode(*pair)
+    with pytest.raises(ModeError, match="3.9"):
+        as_mode_set([(3.9, 1)])
+    with pytest.raises(ModeError, match="4.5"):
+        zk.radial_jacobi(4.5, 2, [0.5])
+    with pytest.raises(ModeError, match="2.0"):
+        zk.radial_jacobi(4, 2.0, [0.5])
+    mode = make_mode(np.int64(4), np.int32(-2))
+    assert mode == Mode(4, -2) and type(mode.n) is type(mode.m) is int
 
 
 def test_mode_errors_are_mode_error_subclasses():
@@ -55,6 +71,10 @@ def test_full_mode_set_small_cases():
 def test_full_mode_set_rejects_negative_resolution():
     with pytest.raises(ModeError):
         full_mode_set(-1)
+    for bad in (2.7, 2.0, "4", None):
+        with pytest.raises(ModeError, match=re.escape(repr(bad))):
+            full_mode_set(bad)
+    assert full_mode_set(np.int64(2)) == full_mode_set(2)
 
 
 @pytest.mark.parametrize("resolution", range(0, 51, 5))
