@@ -21,9 +21,9 @@ import click
 import numpy as np
 
 from .batch import BatchRequest, evaluate_batch
-from .exact import max_abs_error, oracle_table, precision_sweep
+from .exact import _significand_widths, max_abs_error, oracle_table, precision_sweep
 from .evaluate import MAX_ACCURACY_N, angular_factor, pointwise_grids, radial_direct, radial_ztt_table
-from .modes import Mode, ModeError, ModeSet, full_mode_set, make_mode, radial_sweep_modes
+from .modes import Mode, ModeError, ModeSet, _integer, full_mode_set, make_mode, radial_sweep_modes
 from .tables import (
     EvalMatrix,
     check_deriv_order,
@@ -90,8 +90,8 @@ def _candidate_matrix(method: str, modes: ModeSet, grid, deriv_order: int) -> Ev
 
 
 def _check_n_max(n_max: int) -> None:
-    """The oracle's cost guard, shared by every sweep: n_max in 0..MAX_ACCURACY_N."""
-    if not 0 <= n_max <= MAX_ACCURACY_N:
+    """The oracle's cost guard, shared by every sweep: an integer n_max in 0..MAX_ACCURACY_N."""
+    if not 0 <= _integer("n_max", n_max) <= MAX_ACCURACY_N:
         raise ValueError(f"need 0 <= n_max <= {MAX_ACCURACY_N}, got {n_max}")
 
 
@@ -238,7 +238,8 @@ def run_precision(
 ) -> list[tuple[int, float]]:
     """Precision sweep rows (bits, max_deviation), ascending bits."""
     _check_n_max(n_max)
-    return precision_sweep(n_max, sorted(set(int(b) for b in bits)), rational_radial_grid(grid_size))
+    widths = sorted(set(_significand_widths(bits)))
+    return precision_sweep(n_max, widths, rational_radial_grid(grid_size))
 
 
 # --- file I/O ----------------------------------------------------------------
@@ -474,7 +475,8 @@ def eval_command(modes_path, rho_path, theta_path, k, fmt, serial, output):
     type=int,
     default=(53, 96, 153, 183),
     show_default=True,
-    help="Significand widths to simulate.",
+    help="Significand widths to simulate, 24..1024; 53 runs on binary64 "
+    "itself, with the simulator's result.",
 )
 @click.option("--grid-size", type=int, default=100, show_default=True)
 @click.option("--output", default="-", show_default=True)

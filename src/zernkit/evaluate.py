@@ -16,7 +16,7 @@ import operator
 
 import numpy as np
 
-from .exact import differentiate_exact, radial_coefficients
+from .exact import _binary64_horner, differentiate_exact, radial_coefficients
 from .modes import Mode, ModeSet, make_mode, radial_mode
 from .tables import angular_grid, check_deriv_order, radial_grid
 
@@ -277,7 +277,8 @@ def radial_direct(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
     """Radial polynomial by direct binary64 Horner summation.
 
     Coefficients are exact integers rounded once to binary64; the alternating
-    sum itself runs in binary64 and is deliberately kept as the unstable
+    sum itself runs in binary64 (`exact._binary64_horner`, the loop of
+    `precision_sweep`'s 53-bit row) and is deliberately kept as the unstable
     baseline (catastrophic cancellation at high n).
     """
     radial_mode(n, m_abs)
@@ -288,16 +289,12 @@ def radial_direct(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
     if not poly.terms:
         return np.zeros_like(rho)
     try:
-        coeffs = [float(c) for _, c in poly.terms]
+        acc = _binary64_horner(poly.terms, rho * rho)
     except OverflowError:
         raise ValueError(
             f"direct sum of (n={n}, m={m_abs}) at derivative order {deriv_order}: "
             "a coefficient exceeds the binary64 range"
         ) from None
-    u = rho * rho
-    acc = np.full_like(rho, coeffs[0])
-    for c in coeffs[1:]:
-        acc = acc * u + c
     low = poly.terms[-1][0]
     return acc * rho**low
 

@@ -17,10 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .modes import ModeSet, dedup_plan, radial_mode, radial_sweep_modes
+from .modes import ModeSet, _integer, dedup_plan, radial_mode, radial_sweep_modes
 from .tables import EvalMatrix, GridError, check_deriv_order
 
 _MIN_SIGNIFICAND_BITS = 24  # binary32; anything below is meaningless here
+# Every simulated value carries a width-bit integer; 183 bits are exact to n = 100.
+_MAX_SIGNIFICAND_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -347,6 +349,116 @@ def _simulated_direct_column(
     return out
 
 
+def _binary64_horner(terms: Sequence[tuple[int, int]], u: np.ndarray) -> np.ndarray:
+    """Direct sum of integer terms in u = x*x on binary64, at every point of u.
+
+    Each coefficient is rounded once (``float(c)``, OverflowError past the
+    binary64 range); each Horner step ``acc * u + c`` rounds twice. The loop
+    of `radial_direct` and of `precision_sweep`'s 53-bit row.
+    """
+    coeffs = [float(c) for _, c in terms]
+    acc = np.full_like(u, coeffs[0])
+    for c in coeffs[1:]:
+        acc = acc * u + c
+    return acc
+
+
+_BINARY64_BITS = np.finfo(np.float64).nmant + 1  # 53
+_MIN_NORMAL_EXP = np.finfo(np.float64).minexp  # 2**-1022 is the least normal
+
+
+def _binary64_column(values: Sequence[tuple[int, int]]) -> np.ndarray | None:
+    """53-bit (mant, exp) values as binary64, exactly; None if any is subnormal.
+
+    The conversion is a Python division, which would round a nonzero value
+    below 2**-1022 to a subnormal without raising a numpy flag.
+    """
+    if any(m and m.bit_length() + e - 1 < _MIN_NORMAL_EXP for m, e in values):
+        return None
+    return np.array([_significand_to_float(m, e) for m, e in values])
+
+
+def _binary64_deviation(
+    polys: Sequence[ExactRadialPoly], references: Sequence[Sequence[float]], points
+) -> float | None:
+    """The 53-bit row of `precision_sweep`, computed on binary64 itself.
+
+    Operands are the simulator's: each point rounded once to 53 bits, u = x*x,
+    each coefficient rounded once, Horner ``acc * u + c``, then one multiply by
+    x**|m| rounded once from the exact integer power. Binary64's round to
+    nearest even on a result in the normal range is 53-bit half-even rounding;
+    an exact result below 2**-1022 is the same number in both; an inexact one
+    raises numpy's underflow flag, and a sum of two binary64 values whose
+    result is that small is always exact. So the worst |sim - ref| equals the
+    simulator's bit for bit. Returns None, for the simulator to take the whole
+    width, wherever a value could differ: numpy flags an underflow or an
+    overflow, a coefficient exceeds binary64, or a point or a power is nonzero
+    and below 2**-1022.
+    """
+    bits = _BINARY64_BITS
+    xs = [_significand_from_fraction(p.numerator, p.denominator, bits) for p in points]
+    x = _binary64_column(xs)
+    if x is None:
+        return None
+    simulated = np.empty((len(polys), len(points)))
+    powers: dict[int, np.ndarray | None] = {}
+    try:
+        with np.errstate(over="raise", under="raise"):
+            u = x * x
+            for poly, row in zip(polys, simulated):
+                row[:] = _binary64_horner(poly.terms, u)
+                m_abs = poly.m_abs
+                if m_abs:
+                    if m_abs not in powers:
+                        powers[m_abs] = _binary64_column(
+                            [_round_significand(xm**m_abs, xe * m_abs, bits) for xm, xe in xs]
+                        )
+                    if powers[m_abs] is None:
+                        return None
+                    row *= powers[m_abs]
+            return float(np.max(np.abs(simulated - np.array(references))))
+    except (FloatingPointError, OverflowError):
+        return None
+
+
+def _simulated_deviation(
+    polys: Sequence[ExactRadialPoly],
+    references: Sequence[Sequence[float]],
+    points,
+    bits: int,
+) -> float:
+    """Worst |float64(p-bit direct sum) - reference| over every polynomial and point."""
+    xs = [_significand_from_fraction(pt.numerator, pt.denominator, bits) for pt in points]
+    us = [_round_significand(xm * xm, xe + xe, bits) for xm, xe in xs]
+    powers: dict[int, list[tuple[int, int]]] = {}
+    worst = 0.0
+    for poly, refs in zip(polys, references):
+        coeffs = [_round_significand(c, 0, bits) for _, c in poly.terms]
+        m_abs = poly.m_abs
+        if m_abs and m_abs not in powers:
+            powers[m_abs] = [
+                _round_significand(xm**m_abs, xe * m_abs, bits) for xm, xe in xs
+            ]
+        column = _simulated_direct_column(coeffs, us, powers.get(m_abs), bits)
+        for (mant, exp), ref in zip(column, refs):
+            dev = abs(_significand_to_float(mant, exp) - ref)
+            if dev > worst:
+                worst = dev
+    return worst
+
+
+def _significand_widths(mantissa_bits) -> list[int]:
+    """Each width as an int in _MIN_SIGNIFICAND_BITS.._MAX_SIGNIFICAND_BITS, else ValueError."""
+    widths = [_integer("significand width", b, ValueError) for b in mantissa_bits]
+    for b in widths:
+        if not _MIN_SIGNIFICAND_BITS <= b <= _MAX_SIGNIFICAND_BITS:
+            raise ValueError(
+                f"significand width must be in {_MIN_SIGNIFICAND_BITS}.."
+                f"{_MAX_SIGNIFICAND_BITS} bits, got {b}"
+            )
+    return widths
+
+
 def precision_sweep(
     n_max: int, mantissa_bits: Sequence[int], grid
 ) -> list[tuple[int, float]]:
@@ -355,44 +467,29 @@ def precision_sweep(
     For each precision p the direct sum is evaluated for every mode with
     n <= n_max (radial keys, m >= 0) at every grid point, rounding to the
     nearest p-bit significand after each operation, and the worst
-    |float64(simulated) - float64(exact)| is reported.
+    |float64(simulated) - float64(exact)| is reported. p = 53 runs on binary64
+    itself (`_binary64_deviation`), with the same result; the simulator takes
+    every other width, and this one wherever binary64 could differ.
 
     Returns (bits, max_deviation) pairs in the order the bits were given.
     """
-    n_max = int(n_max)
+    n_max = _integer("n_max", n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    bits_list = [int(b) for b in mantissa_bits]
-    for b in bits_list:
-        if b < _MIN_SIGNIFICAND_BITS:
-            raise ValueError(
-                f"significand below {_MIN_SIGNIFICAND_BITS} bits rejected, got {b}"
-            )
+    widths = _significand_widths(mantissa_bits)
     points = _as_fractions(grid)
+    if not points:
+        raise GridError("a precision sweep needs at least one point, got an empty grid")
 
     polys = [radial_coefficients(mode.n, mode.m) for mode in radial_sweep_modes(n_max)]
     references = _exact_columns(polys, points)
 
     results: list[tuple[int, float]] = []
-    for bits in bits_list:
-        xs = [
-            _significand_from_fraction(pt.numerator, pt.denominator, bits)
-            for pt in points
-        ]
-        us = [_round_significand(xm * xm, xe + xe, bits) for xm, xe in xs]
-        powers: dict[int, list[tuple[int, int]]] = {}
-        worst = 0.0
-        for poly, refs in zip(polys, references):
-            coeffs = [_round_significand(c, 0, bits) for _, c in poly.terms]
-            m_abs = poly.m_abs
-            if m_abs and m_abs not in powers:
-                powers[m_abs] = [
-                    _round_significand(xm**m_abs, xe * m_abs, bits) for xm, xe in xs
-                ]
-            column = _simulated_direct_column(coeffs, us, powers.get(m_abs), bits)
-            for (mant, exp), ref in zip(column, refs):
-                dev = abs(_significand_to_float(mant, exp) - ref)
-                if dev > worst:
-                    worst = dev
+    for bits in widths:
+        worst = None
+        if bits == _BINARY64_BITS:
+            worst = _binary64_deviation(polys, references, points)
+        if worst is None:
+            worst = _simulated_deviation(polys, references, points, bits)
         results.append((bits, worst))
     return results

@@ -28,12 +28,12 @@ class ParityViolation(ModeError):
     """n - |m| is odd."""
 
 
-def _integer(name: str, value) -> int:
-    """value as a Python int: ints and numpy integers pass, anything else is a ModeError."""
+def _integer(name: str, value, error: type[ValueError] = ModeError) -> int:
+    """value as a Python int: ints and numpy integers pass, anything else raises ``error``."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ModeError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,7 @@ def full_mode_set(resolution: int) -> ModeSet:
 
 def radial_sweep_modes(n_max: int) -> ModeSet:
     """Every radial key (n, m >= 0) with n <= n_max; the radial part ignores sign(m)."""
+    n_max = _integer("n_max", n_max)
     return tuple(
         Mode(n, m) for n in range(n_max + 1) for m in range(n % 2, n + 1, 2)
     )

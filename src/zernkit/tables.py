@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .modes import ModeSet
+from .modes import ModeSet, _integer
 
 MAX_DERIV_ORDER = 3
 
@@ -44,7 +44,7 @@ def angular_grid(values) -> np.ndarray:
 
 def rational_radial_grid(num_points: int) -> tuple[Fraction, ...]:
     """Exact linearly spaced radial points i/(P-1) for i = 0 .. P-1."""
-    num_points = int(num_points)
+    num_points = _integer("grid size", num_points, GridError)
     if num_points < 2:
         raise GridError(f"need at least 2 points, got {num_points}")
     q = num_points - 1
@@ -53,7 +53,7 @@ def rational_radial_grid(num_points: int) -> tuple[Fraction, ...]:
 
 def linear_radial_grid(num_points: int) -> np.ndarray:
     """Binary64 rounding of the exact points i/(P-1), correctly rounded per point."""
-    num_points = int(num_points)
+    num_points = _integer("grid size", num_points, GridError)
     if num_points < 2:
         raise GridError(f"need at least 2 points, got {num_points}")
     return np.arange(num_points, dtype=np.float64) / float(num_points - 1)

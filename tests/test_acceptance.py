@@ -245,6 +245,11 @@ def test_criterion_8_unstable_at_53_bits(precision_csv):
     assert ok
 
 
+def test_criterion_8_binary64_row_is_pinned(precision_csv):
+    # the 53-bit row runs on binary64 itself; its value is the simulator's
+    assert precision_csv[53] == 3.222182375232582e20
+
+
 def abs_coefficient_sum(n: int) -> int:
     """Largest sum of |coefficients| over the radial polynomials of degree n."""
     return max(

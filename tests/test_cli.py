@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -19,7 +20,8 @@ from zernkit.cli import (
     run_precision,
 )
 from zernkit.evaluate import zernike_eval
-from zernkit.modes import make_mode
+from zernkit.modes import ModeError, make_mode
+from zernkit.tables import GridError
 
 
 @pytest.fixture
@@ -413,6 +415,32 @@ def test_precision_rows_sorted_and_monotone(runner, tmp_path):
 def test_precision_rejects_narrow_bits(runner):
     result = runner.invoke(main, ["precision", "--n-max", "4", "--bits", "16"])
     assert result.exit_code == 2
+
+
+def test_sweeps_reject_non_integer_arguments(runner):
+    # nothing is truncated: 53.5 bits and n_max 4.0 are errors naming the value
+    with pytest.raises(ValueError, match="53.5"):
+        run_precision(4, [53.5], 10)
+    with pytest.raises(ValueError, match="'53'"):
+        run_precision(4, ["53", 40], 10)
+    with pytest.raises(GridError, match="10.0"):
+        run_precision(4, [53], 10.0)
+    for bad in (4.0, "4", None):
+        with pytest.raises(ModeError, match=re.escape(repr(bad))):
+            run_accuracy(bad)
+        with pytest.raises(ModeError, match=re.escape(repr(bad))):
+            run_precision(bad, [53], 10)
+    assert run_precision(np.int64(4), [np.int32(40)], np.int16(10)) == run_precision(
+        4, [40], 10
+    )
+
+
+def test_precision_rejects_wide_bits(runner):
+    result = runner.invoke(
+        main, ["precision", "--n-max", "4", "--bits", "1025", "--grid-size", "2"]
+    )
+    assert result.exit_code == 2
+    assert "1024" in result.output
 
 
 def test_precision_deterministic_bytes(runner, tmp_path):

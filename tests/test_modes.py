@@ -181,3 +181,10 @@ def test_radial_sweep_modes_lists_each_radial_key_once():
         (0, 0), (1, 1), (2, 0), (2, 2), (3, 1), (3, 3), (4, 0), (4, 2), (4, 4)
     ]
     assert set(dedup_plan(full_mode_set(4)).unique_keys) == {(m.n, m.m) for m in keys}
+
+
+def test_radial_sweep_modes_rejects_non_integer_n_max():
+    for bad in (2.7, 2.0, "4", None):
+        with pytest.raises(ModeError, match=re.escape(repr(bad))):
+            radial_sweep_modes(bad)
+    assert radial_sweep_modes(np.int64(3)) == radial_sweep_modes(3)

@@ -1,11 +1,19 @@
 import math
+import re
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import zernkit as zk
+from zernkit.modes import radial_sweep_modes
+from zernkit.tables import GridError
 from zernkit.exact import (
+    ExactRadialPoly,
+    _binary64_deviation,
+    _exact_columns,
     _round_significand,
     _significand_from_fraction,
     _significand_to_float,
@@ -103,6 +111,31 @@ def test_from_fraction_matches_brute_force_rounding(num, den, bits):
 def test_precision_sweep_rejects_narrow_significands():
     with pytest.raises(ValueError):
         precision_sweep(10, [23], zk.rational_radial_grid(5))
+
+
+def test_precision_sweep_rejects_wide_significands():
+    # every simulated value carries a width-bit integer: the width is capped
+    with pytest.raises(ValueError, match="1024"):
+        precision_sweep(10, [1025], zk.rational_radial_grid(5))
+    assert precision_sweep(2, [1024], zk.rational_radial_grid(3)) == [(1024, 0.0)]
+
+
+def test_precision_sweep_rejects_non_integer_arguments():
+    grid = [Fraction(1, 2)]
+    for bad in (2.7, 2.0, "4", None):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            precision_sweep(bad, [53], grid)
+    for bad in (53.9, 53.0, "53", None):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            precision_sweep(3, [bad], grid)
+    assert precision_sweep(np.int64(3), [np.int32(40)], grid) == precision_sweep(
+        3, [40], grid
+    )
+
+
+def test_precision_sweep_rejects_an_empty_grid():
+    with pytest.raises(GridError, match="empty"):
+        precision_sweep(5, [53], [])
 
 
 def test_precision_sweep_monotone_and_convergent():
@@ -244,3 +277,84 @@ def test_simulated_direct_value_matches_mpmath(bits):
     if bits == 153:
         # the 153-bit result itself misses the correctly rounded value
         assert expected != float(zk.eval_exact(poly, Fraction(num, den)))
+
+
+def simulated_worst(n_max, points, bits):
+    """The simulator's worst |float64(direct sum) - oracle| over the sweep."""
+    worst = 0.0
+    xs = [_significand_from_fraction(p.numerator, p.denominator, bits) for p in points]
+    us = [_round_significand(xm * xm, xe + xe, bits) for xm, xe in xs]
+    for mode in radial_sweep_modes(n_max):
+        poly = zk.radial_coefficients(mode.n, mode.m)
+        coeffs = [_round_significand(c, 0, bits) for _, c in poly.terms]
+        powers = None
+        if mode.m:
+            powers = [_round_significand(xm**mode.m, xe * mode.m, bits) for xm, xe in xs]
+        column = _simulated_direct_column(coeffs, us, powers, bits)
+        for value, p in zip(column, points):
+            ref = float(zk.eval_exact(poly, p))
+            worst = max(worst, abs(_significand_to_float(*value) - ref))
+    return worst
+
+
+def sweep_inputs(n_max, points):
+    polys = [zk.radial_coefficients(m.n, m.m) for m in radial_sweep_modes(n_max)]
+    return polys, _exact_columns(polys, points), points
+
+
+@given(st.integers(0, 40), unit_points)
+@settings(max_examples=40, deadline=None)
+def test_binary64_row_equals_the_simulator(n_max, points):
+    want = simulated_worst(n_max, points, 53)
+    assert _binary64_deviation(*sweep_inputs(n_max, points)) == want
+    assert precision_sweep(n_max, [53], points) == [(53, want)]
+
+
+def test_binary64_row_is_pinned_at_degree_50():
+    grid = zk.rational_radial_grid(100)
+    assert precision_sweep(50, [53], grid) == [(53, 40.74171803429938)]
+
+
+def test_binary64_row_rounds_the_exact_power_once():
+    # numpy's rho**4 of the binary64 30/99 misses its correctly rounded power
+    # by an ulp (numpy 2.4); like the simulator, the row rounds the exact power
+    poly = zk.radial_coefficients(4, 4)
+    point = Fraction(30, 99)
+    x = _significand_from_fraction(point.numerator, point.denominator, 53)
+    value = _simulated_direct_value([(1, 0)], 4, x, 53)
+    want = abs(_significand_to_float(*value) - float(zk.eval_exact(poly, point)))
+    assert _binary64_deviation([poly], _exact_columns([poly], [point]), [point]) == want
+
+
+@pytest.mark.parametrize(
+    "n_max, points",
+    [
+        # u = x*x is an inexact result below 2**-1022: numpy's underflow flag
+        (10, [Fraction(1, 2**600), Fraction(1, 2)]),
+        # x**60 = 2**-1200 is rounded exactly, then would convert to a subnormal
+        (60, [Fraction(1, 2**20)]),
+        # a point below 2**-1074 converts to 0.0 and raises no numpy flag
+        (0, [Fraction(1, 2**1100), Fraction(1)]),
+    ],
+)
+def test_binary64_row_falls_back_to_the_simulator(n_max, points):
+    assert _binary64_deviation(*sweep_inputs(n_max, points)) is None
+    assert precision_sweep(n_max, [53], points) == [
+        (53, simulated_worst(n_max, points, 53))
+    ]
+
+
+def test_binary64_row_falls_back_past_binary64_coefficients():
+    poly = zk.radial_coefficients(814, 0)
+    with pytest.raises(OverflowError):
+        [float(c) for _, c in poly.terms]
+    points = [Fraction(1, 3), Fraction(1)]
+    assert _binary64_deviation([poly], _exact_columns([poly], points), points) is None
+
+
+def test_binary64_row_falls_back_on_an_inexact_tiny_product():
+    # 100 u - 1 vanishes at x = 1/10 but leaves 2**-52 in binary64, and that
+    # times the normal x**301 is about 2.2e-317: only numpy's flag catches it
+    poly = ExactRadialPoly(303, 301, 0, ((303, 100), (301, -1)))
+    points = [Fraction(1, 10)]
+    assert _binary64_deviation([poly], _exact_columns([poly], points), points) is None

@@ -46,6 +46,14 @@ def test_rational_grid_values():
         rational_radial_grid(1)
 
 
+@pytest.mark.parametrize("grid", [rational_radial_grid, linear_radial_grid])
+def test_grid_sizes_must_be_integers(grid):
+    for bad in (3.7, 2.0, "4", None):
+        with pytest.raises(GridError, match=re.escape(repr(bad))):
+            grid(bad)
+    assert list(grid(np.int64(5))) == list(grid(5))
+
+
 def test_eval_matrix_shape_checks():
     modes = zk.as_mode_set([(0, 0), (2, 0)])
     values = np.zeros((5, 2))
