@@ -2,19 +2,14 @@
 
 The production evaluator maps radial polynomials onto Jacobi chains and runs
 the stable three-term recursion (values and rho-derivatives to third order);
-an exact big-integer/rational oracle certifies every float path; the batch
-strategies, shared chains per azimuthal group or one chain per mode, are
-two plans for one single-threaded engine; the CLI reproduces the accuracy,
-timing and precision studies.
+an exact big-integer/rational oracle certifies every float path;
+``evaluate_batch`` runs a ``BatchRequest`` on one single-threaded engine,
+whose ``strategy`` picks one of two plans: shared chains per azimuthal group
+or one chain per mode; the CLI reproduces the accuracy, timing and precision
+studies.
 """
 
-from .batch import (
-    BatchRequest,
-    StepCounter,
-    batch_cached,
-    batch_independent,
-    evaluate_batch,
-)
+from .batch import BatchRequest, StepCounter, evaluate_batch
 from .exact import (
     ErrorRow,
     ExactRadialPoly,
@@ -75,8 +70,6 @@ __all__ = [
     "StepCounter",
     "angular_grid",
     "as_mode_set",
-    "batch_cached",
-    "batch_independent",
     "dedup_plan",
     "differentiate_exact",
     "eval_exact",

@@ -3,10 +3,11 @@
 A strategy is a plan of Jacobi chains. ``cached`` shares one chain per
 azimuthal group (the chain for the highest degree contains every lower
 degree); ``independent`` recomputes each unique mode's chain from scratch.
-One single-threaded executor runs either plan with the identical recurrence
-in the identical order, so their outputs are bit-for-bit equal; the step
-counter, summed over the plan that ran, shows how much recomputation the
-cache avoids.
+``evaluate_batch`` is the one entry point: it runs the plan that the
+request's ``strategy`` names, single-threaded, with the identical recurrence
+in the identical order for either plan, so their outputs are bit-for-bit
+equal; the step counter, summed over the plan that ran, shows how much
+recomputation the cache avoids.
 
 Groups run in ascending alpha = |m|. Every group's chains reuse one buffer
 per derivative shift, and each power of rho is formed once per request, in
@@ -100,14 +101,18 @@ def independent_step_counter(plan: DedupPlan, deriv_order: int) -> StepCounter:
     return _chain_plan(plan, "independent", deriv_order)[1]
 
 
-def _execute(request: BatchRequest, strategy: str) -> tuple[EvalMatrix, StepCounter]:
-    """Run the request's chain plan; columns follow the request's mode order."""
-    if request.strategy != strategy:
-        raise ValueError(f"request strategy is {request.strategy!r}, expected {strategy!r}")
+def evaluate_batch(
+    request: BatchRequest, parallel: bool = False
+) -> tuple[EvalMatrix, StepCounter]:
+    """Run the request's chain plan; columns follow the request's mode order.
+
+    ``parallel`` is accepted for compatibility and ignored: evaluation is
+    single-threaded.
+    """
     rho = request.grid
     u = jacobi_argument(rho)
     k = request.deriv_order
-    groups, counter = _chain_plan(dedup_plan(request.modes), strategy, k)
+    groups, counter = _chain_plan(dedup_plan(request.modes), request.strategy, k)
     out = np.empty((len(request.modes), rho.size), dtype=np.float64)
     # one chain buffer per shift, deep enough for every group's chain of it
     depths = map(max, zip(*(degrees for _, degrees, _ in groups)))
@@ -131,33 +136,3 @@ def _execute(request: BatchRequest, strategy: str) -> tuple[EvalMatrix, StepCoun
                 for row in rows:
                     out[row] = value
     return EvalMatrix(out.T, request.modes, k), counter
-
-
-def batch_cached(request: BatchRequest) -> tuple[EvalMatrix, StepCounter]:
-    """Evaluate with one shared Jacobi chain per (alpha, shift) group.
-
-    Within a group the chain runs once to the maximum needed degree and every
-    requested degree is read out of it.
-    """
-    return _execute(request, "cached")
-
-
-def batch_independent(request: BatchRequest) -> tuple[EvalMatrix, StepCounter]:
-    """Evaluate every unique mode's chain from scratch, no shared cache.
-
-    The per-degree recurrence and the assembly are the same code the cached
-    strategy runs, so the result is bitwise identical; only the amount of
-    recomputation differs.
-    """
-    return _execute(request, "independent")
-
-
-def evaluate_batch(
-    request: BatchRequest, parallel: bool = False
-) -> tuple[EvalMatrix, StepCounter]:
-    """Run the request's strategy.
-
-    ``parallel`` is accepted for compatibility and ignored: evaluation is
-    single-threaded.
-    """
-    return _execute(request, request.strategy)

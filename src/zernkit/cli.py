@@ -20,7 +20,7 @@ from typing import Sequence
 import click
 import numpy as np
 
-from .batch import BatchRequest, evaluate_batch
+from .batch import STRATEGIES, BatchRequest, evaluate_batch
 from .exact import _significand_widths, max_abs_error, oracle_table, precision_sweep
 from .evaluate import MAX_ACCURACY_N, angular_factor, pointwise_grids, radial_direct, radial_ztt_table
 from .modes import Mode, ModeError, ModeSet, _integer, full_mode_set, make_mode, radial_sweep_modes
@@ -76,7 +76,7 @@ class BenchRecord:
 
 def _candidate_matrix(method: str, modes: ModeSet, grid, deriv_order: int) -> EvalMatrix:
     if method == "jacobi":
-        return evaluate_batch(BatchRequest(modes, grid, deriv_order, "cached"))[0]
+        return evaluate_batch(BatchRequest(modes, grid, deriv_order))[0]
     if method == "direct":
         values = np.empty((len(grid), len(modes)), dtype=np.float64)
         for col, mode in enumerate(modes):
@@ -173,10 +173,9 @@ def run_bench(
     n_max: int,
     step: int = 10,
     grid_sizes: Sequence[int] = (100, 1000),
-    strategies: Sequence[str] = ("cached", "independent"),
+    strategies: Sequence[str] = STRATEGIES,
     repetitions: int = 5,
     methods: Sequence[str] = ("jacobi",),
-    serial: bool = True,
 ) -> list[BenchRecord]:
     """Time full-mode-set evaluation per resolution, grid size and strategy.
 
@@ -188,14 +187,13 @@ def run_bench(
     ztt) are timed per-mode with strategy label ``permode``; recursion_steps
     counts Jacobi recursion applications, so baseline rows record 0. Records
     are ordered by resolution, then grid size, method and strategy as given.
-    ``serial`` is accepted for compatibility: evaluation is single-threaded.
     """
     _check_n_max(n_max)
-    if not 0 <= n_min <= n_max:
+    if not 0 <= _integer("n_min", n_min) <= n_max:
         raise ValueError(f"need 0 <= n_min <= n_max, got {n_min}..{n_max}")
-    if step < 1:
+    if _integer("step", step, ValueError) < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    if repetitions < 3:
+    if _integer("repetitions", repetitions, ValueError) < 3:
         raise ValueError(f"repetitions must be >= 3, got {repetitions}")
     for method in methods:
         if method not in METHODS:
@@ -369,9 +367,8 @@ def main():
 )
 @click.option("--grid-size", type=int, default=100, show_default=True)
 @click.option("--k-max", type=int, default=0, show_default=True)
-@click.option("--serial", is_flag=True, help="No-op: evaluation is single-threaded.")
 @click.option("--output", default="-", show_default=True, help="CSV path or - for stdout.")
-def accuracy_command(n_max, methods, grid_size, k_max, serial, output):
+def accuracy_command(n_max, methods, grid_size, k_max, output):
     """Max-abs error of each method vs the exact oracle, per (n, m, k)."""
     try:
         rows = run_accuracy(n_max, methods, grid_size, k_max)
@@ -396,8 +393,8 @@ def accuracy_command(n_max, methods, grid_size, k_max, serial, output):
     "--strategy",
     "strategies",
     multiple=True,
-    type=click.Choice(("cached", "independent")),
-    default=("cached", "independent"),
+    type=click.Choice(STRATEGIES),
+    default=STRATEGIES,
     show_default=True,
 )
 @click.option(
@@ -409,9 +406,8 @@ def accuracy_command(n_max, methods, grid_size, k_max, serial, output):
     show_default=True,
 )
 @click.option("--reps", type=int, default=5, show_default=True)
-@click.option("--serial", is_flag=True, help="No-op: evaluation is single-threaded.")
 @click.option("--output", default="-", show_default=True)
-def bench_command(n_min, n_max, step, grid_sizes, strategies, methods, reps, serial, output):
+def bench_command(n_min, n_max, step, grid_sizes, strategies, methods, reps, output):
     """Wall time of full-set evaluation per resolution, grid and strategy."""
     try:
         records = run_bench(n_min, n_max, step, grid_sizes, strategies, reps, methods)
@@ -432,9 +428,8 @@ def bench_command(n_min, n_max, step, grid_sizes, strategies, methods, reps, ser
     default="csv",
     show_default=True,
 )
-@click.option("--serial", is_flag=True, help="No-op: evaluation is single-threaded.")
 @click.option("--output", default="-", show_default=True)
-def eval_command(modes_path, rho_path, theta_path, k, fmt, serial, output):
+def eval_command(modes_path, rho_path, theta_path, k, fmt, output):
     """Evaluate modes at given points: full polynomials, or radial-only without --theta."""
     modes = tuple(_parse_lines(modes_path, _parse_mode, "modes"))
     rho = _parse_lines(rho_path, _parse_value, "values")

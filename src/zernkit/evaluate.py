@@ -282,6 +282,7 @@ def radial_direct(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
     baseline (catastrophic cancellation at high n).
     """
     radial_mode(n, m_abs)
+    check_deriv_order(deriv_order)
     rho = radial_grid(grid)
     poly = radial_coefficients(n, m_abs)
     if deriv_order:

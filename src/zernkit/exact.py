@@ -68,8 +68,9 @@ def differentiate_exact(poly: ExactRadialPoly, order: int) -> ExactRadialPoly:
     Terms whose exponent reaches below zero vanish; the result can be the
     zero polynomial (empty terms).
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"derivative order must be 1..3, got {order}")
+    check_deriv_order(order)
+    if order == 0:
+        raise ValueError("derivative order must be 1..3, got 0")
     if poly.deriv_order != 0:
         raise ValueError("expected an underived polynomial")
     terms = poly.terms
@@ -155,8 +156,12 @@ def _unit_point(x) -> Fraction:
 
 
 def _as_fractions(grid) -> tuple[Fraction, ...]:
+    """The grid's points as exact Fractions; GridError for an empty grid."""
     values = grid.tolist() if isinstance(grid, np.ndarray) else grid
-    return tuple(_unit_point(x) for x in values)
+    points = tuple(_unit_point(x) for x in values)
+    if not points:
+        raise GridError("need at least one point, got an empty grid")
+    return points
 
 
 def oracle_table(modes: ModeSet, grid, deriv_order: int = 0) -> EvalMatrix:
@@ -478,8 +483,6 @@ def precision_sweep(
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     widths = _significand_widths(mantissa_bits)
     points = _as_fractions(grid)
-    if not points:
-        raise GridError("a precision sweep needs at least one point, got an empty grid")
 
     polys = [radial_coefficients(mode.n, mode.m) for mode in radial_sweep_modes(n_max)]
     references = _exact_columns(polys, points)

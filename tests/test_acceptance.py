@@ -14,9 +14,8 @@ from click.testing import CliRunner
 import zernkit as zk
 from zernkit.batch import (
     BatchRequest,
-    batch_cached,
-    batch_independent,
     cached_step_counter,
+    evaluate_batch,
     independent_step_counter,
 )
 from zernkit.cli import main, read_bench_csv, read_precision_csv
@@ -41,7 +40,7 @@ def oracle100(sweep100, rational100):
 
 @pytest.fixture(scope="module")
 def jacobi_errors100(sweep100, oracle100, grid100):
-    table, _ = batch_cached(
+    table, _ = evaluate_batch(
         BatchRequest(modes=sweep100, grid=grid100, deriv_order=0, strategy="cached")
     )
     return np.max(np.abs(table.values - oracle100.values), axis=0)
@@ -93,7 +92,7 @@ def test_criterion_3_derivative_accuracy(grid100, rational100):
     worst = 0.0
     for k in (1, 2, 3):
         reference = zk.oracle_table(modes, rational100, k)
-        table, _ = batch_cached(
+        table, _ = evaluate_batch(
             BatchRequest(modes=modes, grid=grid100, deriv_order=k, strategy="cached")
         )
         magnitude = np.max(np.abs(reference.values), axis=0)
@@ -111,7 +110,7 @@ def test_criterion_4_jacobi_route_equals_exact_expansion(grid100, rational100):
     worst = 0.0
     for k in range(4):
         reference = zk.oracle_table(modes, rational100, k)
-        table, _ = batch_cached(
+        table, _ = evaluate_batch(
             BatchRequest(modes=modes, grid=grid100, deriv_order=k, strategy="cached")
         )
         scale = np.maximum(1.0, np.max(np.abs(reference.values), axis=0))
@@ -152,7 +151,7 @@ def test_criterion_6_orthogonality():
     nodes = (x + 1.0) / 2.0
     weights = w / 2.0
     modes = radial_sweep(40)
-    table, _ = batch_cached(
+    table, _ = evaluate_batch(
         BatchRequest(modes=modes, grid=nodes, deriv_order=0, strategy="cached")
     )
     weighted = weights * nodes
@@ -181,10 +180,10 @@ def test_criterion_7_bitwise_equality_and_counter_formula(grid100):
         )
         assert cached_step_counter(plan, 0).recursion_steps == analytic
         for k in range(4):
-            cached, _ = batch_cached(
+            cached, _ = evaluate_batch(
                 BatchRequest(modes=modes, grid=grid100, deriv_order=k, strategy="cached")
             )
-            independent, _ = batch_independent(
+            independent, _ = evaluate_batch(
                 BatchRequest(
                     modes=modes, grid=grid100, deriv_order=k, strategy="independent"
                 )
@@ -317,7 +316,7 @@ def test_criterion_9_bench_shape(tmp_path):
         main,
         ["bench", "--n-min", "10", "--n-max", "100", "--step", "10",
          "--grid-size", "100", "--grid-size", "1000", "--reps", "3",
-         "--serial", "--output", str(out)],
+         "--output", str(out)],
     )
     assert result.exit_code == 0, result.output
     records = read_bench_csv(out)
@@ -347,7 +346,7 @@ def test_criterion_9_bench_shape(tmp_path):
         main,
         ["bench", "--n-min", "30", "--n-max", "30", "--grid-size", "100",
          "--method", "jacobi", "--method", "direct", "--method", "ztt",
-         "--reps", "3", "--serial", "--output", str(out)],
+         "--reps", "3", "--output", str(out)],
     )
     assert baseline.exit_code == 0, baseline.output
     methods = {r.method for r in read_bench_csv(out)}

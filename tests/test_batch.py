@@ -11,8 +11,6 @@ import zernkit as zk
 from zernkit.batch import (
     BatchRequest,
     StepCounter,
-    batch_cached,
-    batch_independent,
     cached_step_counter,
     evaluate_batch,
     independent_step_counter,
@@ -71,10 +69,10 @@ def test_counter_examples_from_hand_counts():
 def test_single_mode_request():
     grid = zk.linear_radial_grid(9)
     cached_req, indep_req = request_pair((Mode(0, 0),), grid, 0)
-    table, counter = batch_cached(cached_req)
+    table, counter = evaluate_batch(cached_req)
     assert np.all(table.values == 1.0)
     assert counter.recursion_steps == 0
-    _, counter_ind = batch_independent(indep_req)
+    _, counter_ind = evaluate_batch(indep_req)
     assert counter == counter_ind  # no sharing possible
 
 
@@ -84,8 +82,8 @@ def test_strategies_agree_bitwise(resolution, k):
     grid = zk.linear_radial_grid(100)
     modes = full_mode_set(resolution)
     cached_req, indep_req = request_pair(modes, grid, k)
-    a, ca = batch_cached(cached_req)
-    b, cb = batch_independent(indep_req)
+    a, ca = evaluate_batch(cached_req)
+    b, cb = evaluate_batch(indep_req)
     assert np.array_equal(a.values, b.values)
     assert ca.recursion_steps <= cb.recursion_steps
     assert ca.chain_count <= cb.chain_count
@@ -114,7 +112,7 @@ def test_cached_counter_closed_form():
 def test_output_equals_stacked_single_mode_calls():
     grid = zk.linear_radial_grid(37)
     modes = full_mode_set(10)
-    table, _ = batch_cached(
+    table, _ = evaluate_batch(
         BatchRequest(modes=modes, grid=grid, deriv_order=2, strategy="cached")
     )
     for col, mode in enumerate(modes):
@@ -125,7 +123,7 @@ def test_output_equals_stacked_single_mode_calls():
 def test_duplicate_modes_scatter_bitwise():
     grid = zk.linear_radial_grid(21)
     modes = zk.as_mode_set([(4, 2), (4, -2), (4, 2), (2, 0), (4, 2)])
-    table, counter = batch_cached(
+    table, counter = evaluate_batch(
         BatchRequest(modes=modes, grid=grid, deriv_order=0, strategy="cached")
     )
     assert np.array_equal(table.values[:, 0], table.values[:, 1])
@@ -176,10 +174,6 @@ def test_third_derivative_memory_stays_near_the_output(strategy):
 def test_strategy_preconditions():
     grid = zk.linear_radial_grid(5)
     cached_req, indep_req = request_pair(full_mode_set(2), grid, 0)
-    with pytest.raises(ValueError):
-        batch_cached(indep_req)
-    with pytest.raises(ValueError):
-        batch_independent(cached_req)
     assert np.array_equal(
         evaluate_batch(cached_req)[0].values, evaluate_batch(indep_req)[0].values
     )
@@ -217,8 +211,8 @@ def test_counter_dominance_on_arbitrary_requests(modes, k):
 def test_strategies_agree_on_arbitrary_requests(modes, k):
     grid = zk.linear_radial_grid(16)
     cached_req, indep_req = request_pair(tuple(modes), grid, k)
-    a, ca = batch_cached(cached_req)
-    b, cb = batch_independent(indep_req)
+    a, ca = evaluate_batch(cached_req)
+    b, cb = evaluate_batch(indep_req)
     assert np.array_equal(a.values, b.values)
     plan = dedup_plan(tuple(modes))
     assert ca == cached_step_counter(plan, k)

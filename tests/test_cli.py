@@ -49,7 +49,7 @@ def test_accuracy_low_order_rows(runner, tmp_path):
 def test_accuracy_stable_regime_all_methods(runner, tmp_path):
     out = tmp_path / "acc20.csv"
     result = runner.invoke(
-        main, ["accuracy", "--n-max", "20", "--serial", "--output", str(out)]
+        main, ["accuracy", "--n-max", "20", "--output", str(out)]
     )
     assert result.exit_code == 0, result.output
     rows = read_accuracy_csv(out)
@@ -105,8 +105,7 @@ def test_accuracy_deterministic_bytes(runner, tmp_path):
     for path in (a, b):
         result = runner.invoke(
             main,
-            ["accuracy", "--n-max", "8", "--k-max", "2", "--serial",
-             "--output", str(path)],
+            ["accuracy", "--n-max", "8", "--k-max", "2", "--output", str(path)],
         )
         assert result.exit_code == 0
     assert a.read_bytes() == b.read_bytes()
@@ -124,7 +123,7 @@ def test_accuracy_csv_roundtrip(runner, tmp_path):
     out = tmp_path / "acc.csv"
     result = runner.invoke(
         main,
-        ["accuracy", "--n-max", "6", "--k-max", "1", "--serial", "--output", str(out)],
+        ["accuracy", "--n-max", "6", "--k-max", "1", "--output", str(out)],
     )
     assert result.exit_code == 0
     rows = read_accuracy_csv(out)
@@ -153,7 +152,7 @@ def test_bench_record_count_and_columns(runner, tmp_path):
         main,
         ["bench", "--n-min", "2", "--n-max", "8", "--step", "3",
          "--grid-size", "16", "--grid-size", "64", "--reps", "3",
-         "--serial", "--output", str(out)],
+         "--output", str(out)],
     )
     assert result.exit_code == 0, result.output
     records = read_bench_csv(out)
@@ -179,7 +178,7 @@ def test_bench_record_count_and_columns(runner, tmp_path):
 
 
 def test_bench_steps_deterministic_across_runs():
-    kwargs = dict(step=4, grid_sizes=(16,), repetitions=3, serial=True)
+    kwargs = dict(step=4, grid_sizes=(16,), repetitions=3)
     first = run_bench(2, 10, **kwargs)
     second = run_bench(2, 10, **kwargs)
     strip = lambda rs: [
@@ -430,6 +429,13 @@ def test_sweeps_reject_non_integer_arguments(runner):
             run_accuracy(bad)
         with pytest.raises(ModeError, match=re.escape(repr(bad))):
             run_precision(bad, [53], 10)
+    for args, kwargs in (
+        ((2.5, 10, 1, (100,)), {}),
+        ((2, 10, 2.5, (100,)), {}),
+        ((2, 10, 1, (100,)), {"repetitions": 3.5}),
+    ):
+        with pytest.raises(ValueError, match="2.5|3.5"):
+            run_bench(*args, **kwargs)
     assert run_precision(np.int64(4), [np.int32(40)], np.int16(10)) == run_precision(
         4, [40], 10
     )
@@ -487,7 +493,7 @@ def test_bench_csv_roundtrip(tmp_path, runner):
     result = runner.invoke(
         main,
         ["bench", "--n-min", "2", "--n-max", "4", "--step", "2",
-         "--grid-size", "8", "--reps", "3", "--serial", "--output", str(out)],
+         "--grid-size", "8", "--reps", "3", "--output", str(out)],
     )
     assert result.exit_code == 0
     records = read_bench_csv(out)

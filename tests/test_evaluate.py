@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -183,6 +184,17 @@ def test_radial_jacobi_rejects_bad_orders():
         radial_jacobi(3, 2, [0.5])
     with pytest.raises(GridError):
         radial_jacobi(2, 0, [1.5])
+
+
+@pytest.mark.parametrize("order", [1.0, 2.0, 0.0, -1, 4, "1"])
+def test_derivative_order_checks_agree(order):
+    # one check for every radial path: an order that is not an integer in
+    # 0..3 is a ValueError naming it, never a TypeError from deeper down
+    for radial in (radial_jacobi, radial_direct):
+        with pytest.raises(ValueError, match=re.escape(str(order))):
+            radial(6, 2, [0.5], order)
+    with pytest.raises(ValueError, match=re.escape(str(order))):
+        zk.differentiate_exact(zk.radial_coefficients(6, 2), order)
 
 
 def test_radial_jacobi_center_equals_case_table():

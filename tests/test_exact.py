@@ -195,6 +195,11 @@ def test_oracle_table_rejects_out_of_range_grid():
             oracle_table(zk.as_mode_set([(0, 0)]), np.array([0.5, bad]), 0)
         with pytest.raises(GridError, match="finite"):
             zk.precision_sweep(2, [53], [bad])
+    # an empty grid is rejected where every oracle path converts it, before
+    # max_abs_error would reduce over zero points
+    for empty in ([], np.array([])):
+        with pytest.raises(GridError, match="empty"):
+            oracle_table(zk.as_mode_set([(0, 0)]), empty, 0)
 
 
 def test_max_abs_error_rows():
