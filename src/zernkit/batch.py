@@ -7,7 +7,8 @@ degree); ``independent`` recomputes each unique mode's chain from scratch.
 request's ``strategy`` names, single-threaded, with the identical recurrence
 in the identical order for either plan, so their outputs are bit-for-bit
 equal; the step counter, summed over the plan that ran, shows how much
-recomputation the cache avoids.
+recomputation the cache avoids. It runs every Jacobi evaluation in zernkit:
+``evaluate.radial_jacobi`` is a one-mode request.
 
 Groups run in ascending alpha = |m|. Every group's chains reuse one buffer
 per derivative shift, and each power of rho is formed once per request, in
@@ -27,7 +28,6 @@ from .evaluate import (
     assemble_radial,
     jacobi_argument,
     jacobi_chain,
-    jacobi_recursion_steps,
     radial_powers,
     range_guard,
 )
@@ -88,7 +88,8 @@ def _chain_plan(
             j_max = max(j for j, _ in part)
             groups.append((alpha, range(j_max, j_max - deriv_order - 1, -1), part))
     run = [degree for _, degrees, _ in groups for degree in degrees if degree >= 0]
-    return groups, StepCounter(sum(map(jacobi_recursion_steps, run)), len(run))
+    # the base cases P_0 and P_1 take no recursion step
+    return groups, StepCounter(sum(max(0, degree - 1) for degree in run), len(run))
 
 
 def cached_step_counter(plan: DedupPlan, deriv_order: int) -> StepCounter:
@@ -130,9 +131,9 @@ def evaluate_batch(
                 jacobi_chain(degree, alpha + i, i, u, out=buffer) if degree >= 0 else None
                 for i, (degree, buffer) in enumerate(zip(degrees, buffers))
             ]
-            powers = radial_powers(rho, alpha, k, table)
+            powers = radial_powers(table, alpha, k)
             for j, rows in entries:
-                assemble_radial(rho, alpha, j, k, chains, out=value, powers=powers)
+                assemble_radial(alpha, j, k, chains, powers, value)
                 for row in rows:
                     out[row] = value
     return EvalMatrix(out.T, request.modes, k), counter

@@ -5,19 +5,19 @@ The production path maps the radial part onto a Jacobi polynomial of degree
 three-term recursion. Two baselines are kept deliberately: the direct
 alternating sum (unstable at high degree) and the Zernike three-term
 recursion. Derivatives up to third order ride the same Jacobi chains at
-shifted parameters.
+shifted parameters. ``batch.evaluate_batch`` runs every Jacobi evaluation
+with this module's steps; ``radial_jacobi`` is a one-mode request to it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import operator
 
 import numpy as np
 
 from .exact import _binary64_horner, differentiate_exact, radial_coefficients
-from .modes import Mode, ModeSet, make_mode, radial_mode
+from .modes import Mode, ModeSet, _index, make_mode, radial_mode
 from .tables import angular_grid, check_deriv_order, radial_grid
 
 # Degree n from which assemble_radial checks that its output is finite.
@@ -103,7 +103,7 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
     a Python float operand on every call.
     """
     try:
-        j_max, alpha, beta = operator.index(j_max), operator.index(alpha), operator.index(beta)
+        j_max, alpha, beta = _index(j_max), _index(alpha), _index(beta)
     except TypeError:
         raise ValueError(f"need integers, got j_max={j_max!r}, ({alpha!r}, {beta!r})") from None
     if min(j_max, alpha, beta) < 0:
@@ -131,11 +131,6 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
         subtract(acc, lag, acc)
         prev, cur = cur, divide(acc, lead, dest)
     return out
-
-
-def jacobi_recursion_steps(j_max: int) -> int:
-    """Recursion applications needed to reach degree j_max from the base cases."""
-    return max(0, j_max - 1)
 
 
 def jacobi_derivative_scale(j: int, alpha: int, beta: int, order: int) -> float:
@@ -175,10 +170,9 @@ class PowerTable(dict):
         return self.setdefault(e, self.rho**e)
 
 
-def radial_powers(rho, m_abs: int, deriv_order: int, table=None) -> list[np.ndarray]:
+def radial_powers(table: PowerTable, m_abs: int, deriv_order: int) -> list[np.ndarray]:
     """rho**max(m - k + 2i, 0) per shift i = 0..k, as assemble_radial reads
-    them; from ``table``, a PowerTable of rho, when several m share one."""
-    table = PowerTable(rho) if table is None else table
+    them, from ``table``, a PowerTable of rho that several m may share."""
     return [table[max(m_abs - deriv_order + 2 * i, 0)] for i in range(deriv_order + 1)]
 
 
@@ -191,7 +185,7 @@ def range_guard(n: int):
 
 
 def assemble_radial(
-    rho, m_abs: int, j: int, deriv_order: int, chains, out=None, powers=None
+    m_abs: int, j: int, deriv_order: int, chains, powers, out: np.ndarray
 ) -> np.ndarray:
     """Combine shifted-parameter Jacobi values into the radial value/derivative.
 
@@ -210,8 +204,9 @@ def assemble_radial(
     times the sign (-1)^j; ``_DERIVATIVE_WEIGHTS`` holds these weights.
     Falling-factorial prefactors vanish before any negative power of rho can
     contribute, so exponents are clamped at 0 (with the 0**0 == 1 convention
-    at the disc center). A caller reading many degrees of one m passes these
-    powers once, as ``radial_powers(rho, m, k)``. The result goes into ``out``.
+    at the disc center). ``powers`` holds them, as ``radial_powers`` lists
+    them for m and k, so many degrees of one m share them. The result goes
+    into ``out``, which is returned.
 
     Every evaluation path funnels through this one function with one fixed
     operation order, which is what makes batch strategies bit-identical.
@@ -220,10 +215,7 @@ def assemble_radial(
     term still enters the sum, as a row of signed zeros.
     From degree CHECKED_MIN_DEGREE on, a non-finite result raises ValueError.
     """
-    check_deriv_order(deriv_order)
     m = m_abs
-    powers = radial_powers(rho, m, deriv_order) if powers is None else powers
-    out = np.empty(np.shape(rho)) if out is None else out
     term = np.empty_like(out) if deriv_order else None  # terms after the first
     for i, weight in enumerate(_DERIVATIVE_WEIGHTS[deriv_order](m)):
         factor = weight * jacobi_derivative_scale(j, m, 0, i)
@@ -245,7 +237,7 @@ def assemble_radial(
 
 
 def radial_jacobi(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
-    """Radial polynomial (or rho-derivative) via the Jacobi recursion.
+    """Radial polynomial (or rho-derivative): a one-mode ``batch.evaluate_batch``.
 
     Parameters
     ----------
@@ -260,17 +252,11 @@ def radial_jacobi(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
     -------
     ndarray, shape (len(grid),)
     """
-    mode = radial_mode(n, m_abs)
-    check_deriv_order(deriv_order)
-    rho = radial_grid(grid)
-    u = jacobi_argument(rho)
-    j = mode.jacobi_degree
-    with range_guard(n):
-        chains = [
-            jacobi_chain(j - i, m_abs + i, i, u) if j >= i else None
-            for i in range(deriv_order + 1)
-        ]
-        return assemble_radial(rho, m_abs, j, deriv_order, chains)
+    # batch imports this module, so its names can only be looked up at call time
+    from .batch import BatchRequest, evaluate_batch
+
+    request = BatchRequest((radial_mode(n, m_abs),), grid, deriv_order)
+    return evaluate_batch(request)[0].values[:, 0]
 
 
 def radial_direct(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:

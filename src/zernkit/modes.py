@@ -28,10 +28,17 @@ class ParityViolation(ModeError):
     """n - |m| is odd."""
 
 
+def _index(value) -> int:
+    """``operator.index``, but a bool, a flag rather than a count, raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError
+    return operator.index(value)
+
+
 def _integer(name: str, value, error: type[ValueError] = ModeError) -> int:
     """value as a Python int: ints and numpy integers pass, anything else raises ``error``."""
     try:
-        return operator.index(value)
+        return _index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
 

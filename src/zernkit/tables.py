@@ -18,7 +18,7 @@ class GridError(ValueError):
 
 def check_deriv_order(k: int, name: str = "derivative order") -> None:
     """Reject a radial derivative order that is not an integer in 0..MAX_DERIV_ORDER."""
-    if not (isinstance(k, (int, np.integer)) and 0 <= k <= MAX_DERIV_ORDER):
+    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and 0 <= k <= MAX_DERIV_ORDER):
         raise ValueError(f"{name} must be in 0..{MAX_DERIV_ORDER}, got {k}")
 
 
@@ -27,7 +27,8 @@ def radial_grid(values) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
     if arr.ndim != 1:
         raise GridError(f"radial grid must be 1-D, got shape {arr.shape}")
-    if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0):
+    # NaN fails both comparisons, so this one pass rejects every non-finite value too
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise GridError("radial points must be finite and lie in [0, 1]")
     return arr
 

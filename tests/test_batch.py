@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import tracemalloc
 import warnings
@@ -15,8 +16,10 @@ from zernkit.batch import (
     evaluate_batch,
     independent_step_counter,
 )
-from zernkit.evaluate import PowerTable
+from zernkit.evaluate import PowerTable, assemble_radial, jacobi_argument, radial_powers
 from zernkit.modes import Mode, dedup_plan, full_mode_set
+
+from conftest import reference_chain
 
 
 def request_pair(modes, grid, k):
@@ -110,14 +113,20 @@ def test_cached_counter_closed_form():
 
 
 def test_output_equals_stacked_single_mode_calls():
-    grid = zk.linear_radial_grid(37)
+    # per mode, the chains in expression form, unshared, and then the assembly
+    grid = np.append(zk.linear_radial_grid(37), [0.0, 5e-324, 1.0])
+    u = jacobi_argument(grid)
     modes = full_mode_set(10)
-    table, _ = evaluate_batch(
-        BatchRequest(modes=modes, grid=grid, deriv_order=2, strategy="cached")
-    )
-    for col, mode in enumerate(modes):
-        single = zk.radial_jacobi(mode.n, mode.m_abs, grid, 2)
-        assert np.array_equal(table.values[:, col], single)
+    for k, strategy in itertools.product(range(4), ("cached", "independent")):
+        table, _ = evaluate_batch(BatchRequest(modes, grid, k, strategy))
+        for col, mode in enumerate(modes):
+            m, j = mode.m_abs, mode.jacobi_degree
+            chains = [
+                reference_chain(j - i, m + i, i, u) if j >= i else None for i in range(k + 1)
+            ]
+            powers = radial_powers(PowerTable(grid), m, k)
+            single = assemble_radial(m, j, k, chains, powers, np.empty(grid.size))
+            assert table.values[:, col].tobytes() == single.tobytes(), (k, strategy, mode)
 
 
 def test_duplicate_modes_scatter_bitwise():

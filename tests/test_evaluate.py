@@ -13,6 +13,7 @@ import zernkit as zk
 from zernkit import evaluate
 from zernkit.evaluate import (
     CHECKED_MIN_DEGREE,
+    PowerTable,
     angular_factor,
     assemble_radial,
     jacobi_argument,
@@ -29,7 +30,7 @@ from zernkit.evaluate import (
 from zernkit.modes import ModeError, full_mode_set
 from zernkit.tables import GridError
 
-from conftest import radial_sweep
+from conftest import radial_sweep, reference_chain
 
 
 # --- jacobi chain -------------------------------------------------------------
@@ -61,7 +62,8 @@ def test_chain_matches_scipy(alpha, beta):
 
 
 def test_chain_rejects_bad_arguments():
-    for args in [(-1, 0, 0), (2, -1, 0), (2.5, 1, 1), (3, 1.5, 1), (3, 1, 2.0), ("3", 1, 1)]:
+    bad = [(-1, 0, 0), (2, -1, 0), (2.5, 1, 1), (3, 1.5, 1), (3, 1, 2.0), ("3", 1, 1), (3, 1, True)]
+    for args in bad:
         with pytest.raises(ValueError):
             jacobi_chain(*args, [0.0])
     # numpy integers are integers, in the table's range and past it
@@ -69,23 +71,6 @@ def test_chain_rejects_bad_arguments():
     for alpha in (2, 10**7):
         want = jacobi_chain(3, alpha, 1, x).tobytes()
         assert jacobi_chain(np.int64(3), np.int64(alpha), np.int32(1), x).tobytes() == want
-
-
-def reference_chain(j_max, alpha, beta, x):
-    """The recurrence in expression form, each degree assigned into its row."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty((j_max + 1, x.size), dtype=np.float64)
-    out[0] = 1.0
-    if j_max >= 1:
-        out[1] = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2
-    for j in range(2, j_max + 1):
-        c = 2 * j + alpha + beta
-        lead = 2 * j * (c - j) * (c - 2)
-        mid_x = (c - 1) * c * (c - 2)
-        mid_const = (c - 1) * (alpha * alpha - beta * beta)
-        last = 2 * (j + alpha - 1) * (j + beta - 1) * c
-        out[j] = ((mid_x * x + mid_const) * out[j - 1] - last * out[j - 2]) / lead
-    return out
 
 
 CHAIN_EDGES = [1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324]
@@ -443,9 +428,8 @@ def test_zernike_eval_is_radial_times_angular(mode, rho, theta):
 
 def test_assemble_uses_zero_convention_at_center():
     # rho**0 at rho = 0 must evaluate to 1 so m = 0 modes take the center value
-    rho = np.array([0.0])
-    chains = [np.ones(1)]
-    assert assemble_radial(rho, 0, 0, 0, chains)[0] == 1.0
+    powers = radial_powers(PowerTable(np.array([0.0])), 0, 0)
+    assert assemble_radial(0, 0, 0, [np.ones(1)], powers, np.empty(1))[0] == 1.0
 
 
 def reference_assemble(rho, m, j, deriv_order, rows):
@@ -492,36 +476,18 @@ def test_assemble_matches_written_out_chain_rule_bitwise(k):
     values = np.array([p[1:] for p in points]).T
     # row d of shift i's chain is (d + 1) * values[i], so a wrong row shows
     shared = [np.outer(np.arange(1.0, 8 - i), values[i]) for i in range(k + 1)]
+    # one table for every m, as the engine keeps it, and a stale output row
+    table = PowerTable(rho)
     for m in range(13):
+        powers = radial_powers(table, m, k)
         for j in range(7):
             rows = [c[j - i] if j >= i else np.zeros_like(rho) for i, c in enumerate(shared)]
             want = reference_assemble(rho, m, j, k, rows).tobytes()
             own = [c[: j - i + 1] if j >= i else None for i, c in enumerate(shared)]
-            assert assemble_radial(rho, m, j, k, shared).tobytes() == want, (m, j)
-            assert assemble_radial(rho, m, j, k, own).tobytes() == want, (m, j)
-
-
-@pytest.mark.parametrize("k", range(4))
-def test_assemble_into_given_row_matches_allocating_form_bitwise(k):
-    # the signed-zero grid of test_assemble_matches_written_out_chain_rule_bitwise
-    points = list(
-        itertools.product(
-            [0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0], *[[-0.0, 0.0, -1.5, 1.5]] * (k + 1)
-        )
-    )
-    rho = np.array([p[0] for p in points])
-    values = np.array([p[1:] for p in points]).T
-    shared = [np.outer(np.arange(1.0, 8 - i), values[i]) for i in range(k + 1)]
-    for m in range(13):
-        powers = radial_powers(rho, m, k)
-        for j in range(7):
-            want = assemble_radial(rho, m, j, k, shared).tobytes()
-            row = np.full_like(rho, np.nan)
-            assert assemble_radial(rho, m, j, k, shared, out=row) is row
-            assert row.tobytes() == want, (m, j)
-            row = np.full_like(rho, np.nan)
-            assemble_radial(rho, m, j, k, shared, out=row, powers=powers)
-            assert row.tobytes() == want, (m, j)
+            for chains in (shared, own):
+                row = np.full_like(rho, np.nan)
+                assert assemble_radial(m, j, k, chains, powers, row) is row
+                assert row.tobytes() == want, (m, j)
 
 
 def test_jacobi_argument_shared_form():

@@ -35,7 +35,7 @@ def test_make_mode_rejects_with_distinct_causes():
     with pytest.raises(DegreeViolation):
         make_mode(-1, 0)
     # modes are integers: nothing is truncated, numpy integers become ints
-    for bad in (2.5, 2.0, "4", None):
+    for bad in (2.5, 2.0, "4", None, True):
         for pair in [(bad, 0), (4, bad)]:
             with pytest.raises(ModeError, match=re.escape(repr(bad))):
                 make_mode(*pair)

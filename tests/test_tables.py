@@ -22,8 +22,9 @@ def test_radial_grid_validates_domain():
         radial_grid([-0.1])
     with pytest.raises(GridError):
         radial_grid([1.1])
-    with pytest.raises(GridError):
-        radial_grid([np.nan])
+    for bad in ([np.nan], [0.5, np.nan], [np.inf], [-np.inf]):
+        with pytest.raises(GridError):
+            radial_grid(bad)
 
 
 def test_angular_grid_requires_finite():
@@ -48,7 +49,7 @@ def test_rational_grid_values():
 
 @pytest.mark.parametrize("grid", [rational_radial_grid, linear_radial_grid])
 def test_grid_sizes_must_be_integers(grid):
-    for bad in (3.7, 2.0, "4", None):
+    for bad in (3.7, 2.0, "4", None, True):
         with pytest.raises(GridError, match=re.escape(repr(bad))):
             grid(bad)
     assert list(grid(np.int64(5))) == list(grid(5))
@@ -66,7 +67,7 @@ def test_eval_matrix_shape_checks():
         EvalMatrix(values=values, modes=modes, deriv_order=4)
 
 
-@pytest.mark.parametrize("order", [1.0, 2.5, "1", None])
+@pytest.mark.parametrize("order", [1.0, 2.5, "1", None, True])
 def test_non_integer_derivative_order_is_value_error(order):
     modes = zk.as_mode_set([(4, 2)])
     calls = (
