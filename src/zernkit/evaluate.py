@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .exact import _binary64_horner, differentiate_exact, radial_coefficients
-from .modes import Mode, ModeSet, _index, make_mode, radial_mode
+from .modes import Mode, ModeSet, _index, as_mode_set, make_mode, radial_mode
 from .tables import angular_grid, check_deriv_order, radial_grid
 
 # Degree n from which assemble_radial checks that its output is finite.
@@ -294,11 +294,12 @@ def radial_ztt_table(modes: ModeSet, grid) -> np.ndarray:
     keeps only the last two levels; each requested column is written when
     its level is reached. Level n holds only the m that a requested (N, M)
     with N >= n still depends on: m <= n and m <= max(N + M) - n.
-    Value-only (no derivative form exists).
+    Value-only (no derivative form exists). ``modes`` holds Modes or (n, m)
+    pairs.
 
     Returns an array of shape (len(grid), len(modes)).
     """
-    modes = tuple(modes)
+    modes = as_mode_set(modes)
     rho = radial_grid(grid)
     out = np.empty((rho.size, len(modes)), dtype=np.float64)
     wanted: dict[int, list[tuple[int, int]]] = {}

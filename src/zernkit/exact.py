@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .modes import ModeSet, _integer, dedup_plan, radial_mode, radial_sweep_modes
+from .modes import ModeSet, _integer, as_mode_set, dedup_plan
+from .modes import radial_mode, radial_sweep_modes
 from .tables import EvalMatrix, GridError, check_deriv_order
 
 _MIN_SIGNIFICAND_BITS = 24  # binary32; anything below is meaningless here
@@ -169,7 +170,7 @@ def oracle_table(modes: ModeSet, grid, deriv_order: int = 0) -> EvalMatrix:
 
     Parameters
     ----------
-    modes : sequence of Mode
+    modes : sequence of Mode or (n, m) pairs
         columns, in input order; duplicates and sign-flipped m share work
     grid : sequence of Fraction or float
         radial points; floats are converted exactly (binary64 is a subset
@@ -183,7 +184,7 @@ def oracle_table(modes: ModeSet, grid, deriv_order: int = 0) -> EvalMatrix:
         one correctly rounded binary64 entry per point and mode
     """
     check_deriv_order(deriv_order)
-    modes = tuple(modes)
+    modes = as_mode_set(modes)
     points = _as_fractions(grid)
     plan = dedup_plan(modes)
     polys = []
@@ -254,21 +255,14 @@ def _round_significand(mant: int, exp: int, bits: int) -> tuple[int, int]:
 
 def _significand_from_fraction(num: int, den: int, bits: int) -> tuple[int, int]:
     """Round the positive rational num/den to ``bits`` mantissa bits, half-even."""
-    if num == 0:
-        return 0, 0
     shift = bits + 2 - (num.bit_length() - den.bit_length())
     if shift >= 0:
         q, r = divmod(num << shift, den)
     else:
         q, r = divmod(num, den << -shift)
-    # q carries >= bits+1 significant bits; r != 0 is the sticky bit
-    drop = q.bit_length() - bits
-    head = q >> drop
-    rem = q & ((1 << drop) - 1)
-    half = 1 << (drop - 1)
-    if rem > half or (rem == half and (r or (head & 1))):
-        head += 1
-    return head, drop - shift
+    # q carries >= bits+1 significant bits, so the sticky bit r != 0 sits below
+    # the half bit and a tie can only be an exact one
+    return _round_significand(2 * q + (r != 0), -shift - 1, bits)
 
 
 def _significand_to_float(mant: int, exp: int) -> float:
@@ -279,32 +273,20 @@ def _significand_to_float(mant: int, exp: int) -> float:
     return mant / (1 << -exp)  # correctly rounded big-int division
 
 
-def _simulated_direct_value(
-    coeffs: Sequence[tuple[int, int]], m_abs: int, x: tuple[int, int], bits: int
-) -> tuple[int, int]:
-    """Direct-sum evaluation in p-bit arithmetic at one point.
-
-    Mirrors the binary64 baseline: Horner over descending exponents in
-    u = x*x, then one multiply by x**m. ``coeffs`` are the pre-rounded
-    integer coefficients as (mant, exp) pairs, descending exponent order.
-    """
-    xm, xe = x
-    u = _round_significand(xm * xm, xe + xe, bits)
-    powers = [_round_significand(xm**m_abs, xe * m_abs, bits)] if m_abs else None
-    return _simulated_direct_column(coeffs, [u], powers, bits)[0]
-
-
 def _simulated_direct_column(
     coeffs: Sequence[tuple[int, int]],
     us: Sequence[tuple[int, int]],
     powers: Sequence[tuple[int, int]] | None,
     bits: int,
 ) -> list[tuple[int, int]]:
-    """`_simulated_direct_value` of one polynomial at every point.
+    """Direct-sum evaluation of one polynomial in p-bit arithmetic at every point.
 
-    ``us`` holds each point's rounded u = x*x and ``powers`` its rounded
-    x**|m| (None for m = 0), so that all polynomials share them. Every
-    product and sum of the Horner loop is rounded to ``bits``, half-even.
+    Mirrors the binary64 baseline: Horner over descending exponents in
+    u = x*x, then one multiply by x**|m|. ``coeffs`` are the pre-rounded
+    integer coefficients as (mant, exp) pairs, descending exponent order.
+    ``us`` holds each point's rounded u and ``powers`` its rounded x**|m|
+    (None for m = 0), so that all polynomials share them. Every product and
+    sum of the Horner loop is rounded to ``bits``, half-even.
     """
     (head_m, head_e), tail = coeffs[0], coeffs[1:]
     out = []
@@ -359,7 +341,8 @@ def _binary64_horner(terms: Sequence[tuple[int, int]], u: np.ndarray) -> np.ndar
 
     Each coefficient is rounded once (``float(c)``, OverflowError past the
     binary64 range); each Horner step ``acc * u + c`` rounds twice. The loop
-    of `radial_direct` and of `precision_sweep`'s 53-bit row.
+    of `radial_direct`, and of each polynomial that `_deviation` runs on
+    binary64 in `precision_sweep`'s 53-bit row.
     """
     coeffs = [float(c) for _, c in terms]
     acc = np.full_like(u, coeffs[0])
@@ -383,73 +366,54 @@ def _binary64_column(values: Sequence[tuple[int, int]]) -> np.ndarray | None:
     return np.array([_significand_to_float(m, e) for m, e in values])
 
 
-def _binary64_deviation(
-    polys: Sequence[ExactRadialPoly], references: Sequence[Sequence[float]], points
-) -> float | None:
-    """The 53-bit row of `precision_sweep`, computed on binary64 itself.
-
-    Operands are the simulator's: each point rounded once to 53 bits, u = x*x,
-    each coefficient rounded once, Horner ``acc * u + c``, then one multiply by
-    x**|m| rounded once from the exact integer power. Binary64's round to
-    nearest even on a result in the normal range is 53-bit half-even rounding;
-    an exact result below 2**-1022 is the same number in both; an inexact one
-    raises numpy's underflow flag, and a sum of two binary64 values whose
-    result is that small is always exact. So the worst |sim - ref| equals the
-    simulator's bit for bit. Returns None, for the simulator to take the whole
-    width, wherever a value could differ: numpy flags an underflow or an
-    overflow, a coefficient exceeds binary64, or a point or a power is nonzero
-    and below 2**-1022.
-    """
-    bits = _BINARY64_BITS
-    xs = [_significand_from_fraction(p.numerator, p.denominator, bits) for p in points]
-    x = _binary64_column(xs)
-    if x is None:
-        return None
-    simulated = np.empty((len(polys), len(points)))
-    powers: dict[int, np.ndarray | None] = {}
-    try:
-        with np.errstate(over="raise", under="raise"):
-            u = x * x
-            for poly, row in zip(polys, simulated):
-                row[:] = _binary64_horner(poly.terms, u)
-                m_abs = poly.m_abs
-                if m_abs:
-                    if m_abs not in powers:
-                        powers[m_abs] = _binary64_column(
-                            [_round_significand(xm**m_abs, xe * m_abs, bits) for xm, xe in xs]
-                        )
-                    if powers[m_abs] is None:
-                        return None
-                    row *= powers[m_abs]
-            return float(np.max(np.abs(simulated - np.array(references))))
-    except (FloatingPointError, OverflowError):
-        return None
-
-
-def _simulated_deviation(
+def _deviation(
     polys: Sequence[ExactRadialPoly],
     references: Sequence[Sequence[float]],
     points,
     bits: int,
 ) -> float:
-    """Worst |float64(p-bit direct sum) - reference| over every polynomial and point."""
-    xs = [_significand_from_fraction(pt.numerator, pt.denominator, bits) for pt in points]
+    """Worst |float64(p-bit direct sum) - reference| over every polynomial and point.
+
+    Each point, u = x*x and each x**|m| (from the exact integer power) is
+    rounded once to ``bits`` and shared by every polynomial. At 53 bits a
+    polynomial runs on binary64 itself, with the same operands, coefficients
+    rounded once by ``float(c)``. Binary64's round to nearest even on a result
+    in the normal range is 53-bit half-even rounding, so the rounded exact
+    x*x is binary64's x*x wherever it is normal; an exact result below
+    2**-1022 is the same number in both; an inexact one raises numpy's
+    underflow flag, and a sum of two binary64 values whose result is that
+    small is always exact. So each value equals the simulator's bit for bit.
+    A polynomial runs on the simulator wherever a value could differ: numpy flags
+    an underflow or an overflow, a coefficient exceeds binary64, or u or its
+    x**|m| is nonzero and below 2**-1022.
+    """
+    xs = [_significand_from_fraction(p.numerator, p.denominator, bits) for p in points]
     us = [_round_significand(xm * xm, xe + xe, bits) for xm, xe in xs]
+    u = _binary64_column(us) if bits == _BINARY64_BITS else None
     powers: dict[int, list[tuple[int, int]]] = {}
-    worst = 0.0
-    for poly, refs in zip(polys, references):
-        coeffs = [_round_significand(c, 0, bits) for _, c in poly.terms]
-        m_abs = poly.m_abs
-        if m_abs and m_abs not in powers:
-            powers[m_abs] = [
-                _round_significand(xm**m_abs, xe * m_abs, bits) for xm, xe in xs
-            ]
-        column = _simulated_direct_column(coeffs, us, powers.get(m_abs), bits)
-        for (mant, exp), ref in zip(column, refs):
-            dev = abs(_significand_to_float(mant, exp) - ref)
-            if dev > worst:
-                worst = dev
-    return worst
+    float_powers: dict[int, np.ndarray | None] = {}
+    table = np.empty((len(polys), len(points)))
+    with np.errstate(over="raise", under="raise"):
+        for poly, row in zip(polys, table):
+            m_abs = poly.m_abs
+            if m_abs and m_abs not in powers:
+                powers[m_abs] = [
+                    _round_significand(xm**m_abs, xe * m_abs, bits) for xm, xe in xs
+                ]
+                if u is not None:
+                    float_powers[m_abs] = _binary64_column(powers[m_abs])
+            if u is not None and (not m_abs or float_powers[m_abs] is not None):
+                try:
+                    row[:] = _binary64_horner(poly.terms, u)
+                    if m_abs:
+                        row *= float_powers[m_abs]
+                    continue
+                except (FloatingPointError, OverflowError):
+                    pass
+            coeffs = [_round_significand(c, 0, bits) for _, c in poly.terms]
+            column = _simulated_direct_column(coeffs, us, powers.get(m_abs), bits)
+            row[:] = [_significand_to_float(mant, exp) for mant, exp in column]
+    return float(np.max(np.abs(table - np.array(references))))
 
 
 def _significand_widths(mantissa_bits) -> list[int]:
@@ -472,9 +436,9 @@ def precision_sweep(
     For each precision p the direct sum is evaluated for every mode with
     n <= n_max (radial keys, m >= 0) at every grid point, rounding to the
     nearest p-bit significand after each operation, and the worst
-    |float64(simulated) - float64(exact)| is reported. p = 53 runs on binary64
-    itself (`_binary64_deviation`), with the same result; the simulator takes
-    every other width, and this one wherever binary64 could differ.
+    |float64(simulated) - float64(exact)| is reported. Every width runs
+    `_deviation`; at p = 53 each polynomial runs on binary64 itself, with the
+    same result, unless one of its values could differ there.
 
     Returns (bits, max_deviation) pairs in the order the bits were given.
     """
@@ -487,12 +451,4 @@ def precision_sweep(
     polys = [radial_coefficients(mode.n, mode.m) for mode in radial_sweep_modes(n_max)]
     references = _exact_columns(polys, points)
 
-    results: list[tuple[int, float]] = []
-    for bits in widths:
-        worst = None
-        if bits == _BINARY64_BITS:
-            worst = _binary64_deviation(polys, references, points)
-        if worst is None:
-            worst = _simulated_deviation(polys, references, points, bits)
-        results.append((bits, worst))
-    return results
+    return [(bits, _deviation(polys, references, points, bits)) for bits in widths]

@@ -314,6 +314,10 @@ def test_radial_ztt_table_matches_memo_walk_bitwise():
     modes = tuple(zk.make_mode(n, m) for n, m in pairs)
     got = radial_ztt_table(modes, rho)
     assert got.tobytes() == reference_ztt_table(modes, rho).tobytes()
+    # (n, m) pairs are validated and give the Mode spelling's bytes
+    assert radial_ztt_table(pairs, rho).tobytes() == got.tobytes()
+    with pytest.raises(zk.ParityViolation):
+        radial_ztt_table([(2, 1)], rho)
     assert radial_ztt_table((), rho).shape == (rho.size, 0)
 
 

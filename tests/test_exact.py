@@ -150,6 +150,14 @@ def test_oracle_table_examples():
     table = oracle_table(zk.as_mode_set([(1, 1)]), (Fraction(0), Fraction(1)), 1)
     assert table.values[:, 0].tolist() == [1.0, 1.0]
 
+    # (n, m) pairs are validated and give the Mode spelling's bytes
+    pairs = [(4, -2), (2, 0), (4, 2)]
+    table = oracle_table(pairs, grid, 2)
+    assert table.modes == zk.as_mode_set(pairs)
+    assert table.values.tobytes() == oracle_table(zk.as_mode_set(pairs), grid, 2).values.tobytes()
+    with pytest.raises(zk.ParityViolation):
+        oracle_table([(2, 1)], grid)
+
 
 def test_oracle_table_accepts_floats_exactly():
     # binary64 inputs are exact rationals; both spellings must agree bitwise

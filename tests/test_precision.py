@@ -8,17 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zernkit as zk
+from zernkit import exact
 from zernkit.modes import radial_sweep_modes
 from zernkit.tables import GridError
 from zernkit.exact import (
     ExactRadialPoly,
-    _binary64_deviation,
+    _binary64_column,
+    _binary64_horner,
+    _deviation,
     _exact_columns,
     _round_significand,
     _significand_from_fraction,
     _significand_to_float,
     _simulated_direct_column,
-    _simulated_direct_value,
     precision_sweep,
 )
 
@@ -27,6 +29,14 @@ def as_significand(x: float) -> tuple[int, int]:
     """Exact (mantissa, exponent) of a binary64 value."""
     frac, exp = math.frexp(x)
     return int(frac * (1 << 53)), exp - 53
+
+
+def simulated_direct_value(coeffs, m_abs, x, bits):
+    """`_simulated_direct_column` at the one point x = (mant, exp)."""
+    xm, xe = x
+    u = _round_significand(xm * xm, xe + xe, bits)
+    powers = [_round_significand(xm**m_abs, xe * m_abs, bits)] if m_abs else None
+    return _simulated_direct_column(coeffs, [u], powers, bits)[0]
 
 
 def test_round_significand_ties_to_even():
@@ -80,7 +90,7 @@ def test_simulated_direct_value_is_exact_at_high_precision():
     poly = zk.radial_coefficients(4, 0)
     coeffs = [(c, 0) for _, c in poly.terms]
     x = (1, -1)  # rho = 0.5
-    mant, exp = _simulated_direct_value(coeffs, 0, x, 200)
+    mant, exp = simulated_direct_value(coeffs, 0, x, 200)
     assert _significand_to_float(mant, exp) == float(
         zk.eval_exact(poly, Fraction(1, 2))
     )
@@ -205,7 +215,7 @@ def test_simulated_direct_matches_round_by_round_reference(nm, points, bits):
     coeffs = [_round_significand(c, 0, bits) for _, c in poly.terms]
     xs = [_significand_from_fraction(p.numerator, p.denominator, bits) for p in points]
     want = [reference_direct_value(coeffs, m, x, bits) for x in xs]
-    assert [_simulated_direct_value(coeffs, m, x, bits) for x in xs] == want
+    assert [simulated_direct_value(coeffs, m, x, bits) for x in xs] == want
     us = [_round_significand(xm * xm, xe + xe, bits) for xm, xe in xs]
     powers = [_round_significand(xm**m, xe * m, bits) for xm, xe in xs] if m else None
     assert _simulated_direct_column(coeffs, us, powers, bits) == want
@@ -227,7 +237,7 @@ def test_simulated_direct_rounds_ties_signs_and_carries_like_reference(
     bits = 24
     coeffs = [_round_significand(c, coeff_exp, bits) for c in mants]
     x = (xm, xe)
-    assert _simulated_direct_value(coeffs, m_abs, x, bits) == reference_direct_value(
+    assert simulated_direct_value(coeffs, m_abs, x, bits) == reference_direct_value(
         coeffs, m_abs, x, bits
     )
 
@@ -237,13 +247,13 @@ def test_simulated_direct_carry_and_ties_examples():
     top = (1 << bits) - 1  # 24 bits
     one = (1, 0)  # x = 1, so u = 1
     # (2**24 - 1) * 2 + 1 = 2**25 - 1: a tie with an odd head carries to 2**24
-    assert _simulated_direct_value([(top, 1), (1, 0)], 0, one, bits) == (1 << bits, 1)
-    assert _simulated_direct_value([(-top, 1), (-1, 0)], 0, one, bits) == (
+    assert simulated_direct_value([(top, 1), (1, 0)], 0, one, bits) == (1 << bits, 1)
+    assert simulated_direct_value([(-top, 1), (-1, 0)], 0, one, bits) == (
         -(1 << bits),
         1,
     )
     # 2**25 - 3 is a tie with an even head: it stays
-    assert _simulated_direct_value([(top - 1, 1), (-1, 0)], 0, one, bits) == (
+    assert simulated_direct_value([(top - 1, 1), (-1, 0)], 0, one, bits) == (
         top - 1,
         1,
     )
@@ -259,7 +269,7 @@ def test_simulated_direct_value_matches_mpmath(bits):
     poly = zk.radial_coefficients(n, m)
     coeffs = [_round_significand(c, 0, bits) for _, c in poly.terms]
     x = _significand_from_fraction(num, den, bits)
-    simulated = _significand_to_float(*_simulated_direct_value(coeffs, m, x, bits))
+    simulated = _significand_to_float(*simulated_direct_value(coeffs, m, x, bits))
 
     mp = mpmath.mp
     with mp.workprec(bits):
@@ -279,17 +289,21 @@ def test_simulated_direct_value_matches_mpmath(bits):
         assert expected != float(zk.eval_exact(poly, Fraction(num, den)))
 
 
-def simulated_worst(n_max, points, bits):
-    """The simulator's worst |float64(direct sum) - oracle| over the sweep."""
+def sweep_polys(n_max):
+    return [zk.radial_coefficients(m.n, m.m) for m in radial_sweep_modes(n_max)]
+
+
+def simulated_worst(polys, points, bits):
+    """The simulator's worst |float64(direct sum) - oracle| over polys and points."""
     worst = 0.0
     xs = [_significand_from_fraction(p.numerator, p.denominator, bits) for p in points]
     us = [_round_significand(xm * xm, xe + xe, bits) for xm, xe in xs]
-    for mode in radial_sweep_modes(n_max):
-        poly = zk.radial_coefficients(mode.n, mode.m)
+    for poly in polys:
+        m = poly.m_abs
         coeffs = [_round_significand(c, 0, bits) for _, c in poly.terms]
         powers = None
-        if mode.m:
-            powers = [_round_significand(xm**mode.m, xe * mode.m, bits) for xm, xe in xs]
+        if m:
+            powers = [_round_significand(xm**m, xe * m, bits) for xm, xe in xs]
         column = _simulated_direct_column(coeffs, us, powers, bits)
         for value, p in zip(column, points):
             ref = float(zk.eval_exact(poly, p))
@@ -297,16 +311,12 @@ def simulated_worst(n_max, points, bits):
     return worst
 
 
-def sweep_inputs(n_max, points):
-    polys = [zk.radial_coefficients(m.n, m.m) for m in radial_sweep_modes(n_max)]
-    return polys, _exact_columns(polys, points), points
-
-
 @given(st.integers(0, 40), unit_points)
 @settings(max_examples=40, deadline=None)
 def test_binary64_row_equals_the_simulator(n_max, points):
-    want = simulated_worst(n_max, points, 53)
-    assert _binary64_deviation(*sweep_inputs(n_max, points)) == want
+    polys = sweep_polys(n_max)
+    want = simulated_worst(polys, points, 53)
+    assert _deviation(polys, _exact_columns(polys, points), points, 53) == want
     assert precision_sweep(n_max, [53], points) == [(53, want)]
 
 
@@ -321,9 +331,9 @@ def test_binary64_row_rounds_the_exact_power_once():
     poly = zk.radial_coefficients(4, 4)
     point = Fraction(30, 99)
     x = _significand_from_fraction(point.numerator, point.denominator, 53)
-    value = _simulated_direct_value([(1, 0)], 4, x, 53)
+    value = simulated_direct_value([(1, 0)], 4, x, 53)
     want = abs(_significand_to_float(*value) - float(zk.eval_exact(poly, point)))
-    assert _binary64_deviation([poly], _exact_columns([poly], [point]), [point]) == want
+    assert _deviation([poly], _exact_columns([poly], [point]), [point], 53) == want
 
 
 @pytest.mark.parametrize(
@@ -335,13 +345,28 @@ def test_binary64_row_rounds_the_exact_power_once():
         (60, [Fraction(1, 2**20)]),
         # a point below 2**-1074 converts to 0.0 and raises no numpy flag
         (0, [Fraction(1, 2**1100), Fraction(1)]),
+        # only the polynomials with |m| >= 52 meet a power below 2**-1022
+        (60, [Fraction(1, 2**20), Fraction(1, 2)]),
     ],
 )
 def test_binary64_row_falls_back_to_the_simulator(n_max, points):
-    assert _binary64_deviation(*sweep_inputs(n_max, points)) is None
     assert precision_sweep(n_max, [53], points) == [
-        (53, simulated_worst(n_max, points, 53))
+        (53, simulated_worst(sweep_polys(n_max), points, 53))
     ]
+
+
+def test_binary64_row_runs_the_simulator_only_where_needed(monkeypatch):
+    # at x = 2**-20 the power x**|m| is below 2**-1022 from |m| = 52 on: only
+    # those polynomials run on the simulator, every other one on binary64
+    calls = []
+
+    def counted(coeffs, us, powers, bits):
+        calls.append(bits)
+        return _simulated_direct_column(coeffs, us, powers, bits)
+
+    monkeypatch.setattr(exact, "_simulated_direct_column", counted)
+    precision_sweep(60, [53], [Fraction(1, 2**20), Fraction(1, 2)])
+    assert len(calls) == sum(1 for mode in radial_sweep_modes(60) if mode.m >= 52)
 
 
 def test_binary64_row_falls_back_past_binary64_coefficients():
@@ -349,12 +374,23 @@ def test_binary64_row_falls_back_past_binary64_coefficients():
     with pytest.raises(OverflowError):
         [float(c) for _, c in poly.terms]
     points = [Fraction(1, 3), Fraction(1)]
-    assert _binary64_deviation([poly], _exact_columns([poly], points), points) is None
+    want = simulated_worst([poly], points, 53)
+    assert _deviation([poly], _exact_columns([poly], points), points, 53) == want
 
 
 def test_binary64_row_falls_back_on_an_inexact_tiny_product():
-    # 100 u - 1 vanishes at x = 1/10 but leaves 2**-52 in binary64, and that
-    # times the normal x**301 is about 2.2e-317: only numpy's flag catches it
-    poly = ExactRadialPoly(303, 301, 0, ((303, 100), (301, -1)))
+    # 20102 u - 201 is about 1/50 at x = 1/10, and that times the normal
+    # x**307 is about 2e-309, below 2**-1022. Binary64 rounds that product
+    # once, to a subnormal; the simulator rounds it to 53 bits first, and the
+    # two values differ. Every operand is normal: only numpy's flag catches it
+    poly = ExactRadialPoly(309, 307, 0, ((309, 20102), (307, -201)))
     points = [Fraction(1, 10)]
-    assert _binary64_deviation([poly], _exact_columns([poly], points), points) is None
+    x = _significand_from_fraction(1, 10, 53)
+    u = _binary64_column([_round_significand(x[0] * x[0], 2 * x[1], 53)])
+    power = _binary64_column([_round_significand(x[0] ** 307, x[1] * 307, 53)])
+    with np.errstate(under="ignore"):
+        plain = float(_binary64_horner(poly.terms, u)[0] * power[0])
+    ref = float(zk.eval_exact(poly, points[0]))
+    want = simulated_worst([poly], points, 53)
+    assert abs(plain - ref) != want
+    assert _deviation([poly], _exact_columns([poly], points), points, 53) == want
