@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .exact import _binary64_horner, differentiate_exact, radial_coefficients
-from .modes import Mode, ModeSet, _index, as_mode_set, make_mode, radial_mode
+from .modes import Mode, ModeSet, _index, as_mode_set, make_mode, radial_mode, ztt_levels
 from .tables import angular_grid, check_deriv_order, radial_grid
 
 # Degree n from which assemble_radial checks that its output is finite.
@@ -292,8 +292,8 @@ def radial_ztt_table(modes: ModeSet, grid) -> np.ndarray:
     The recursion R_n^m = rho[R_{n-1}^{|m-1|} + R_{n-1}^{m+1}] - R_{n-2}^m,
     seeded with R_n^n = rho**n, sweeps n upwards for the whole request and
     keeps only the last two levels; each requested column is written when
-    its level is reached. Level n holds only the m that a requested (N, M)
-    with N >= n still depends on: m <= n and m <= max(N + M) - n.
+    its level is reached. Level n holds only the lanes that
+    ``modes.ztt_levels`` keeps.
     Value-only (no derivative form exists). ``modes`` holds Modes or (n, m)
     pairs.
 
@@ -302,21 +302,14 @@ def radial_ztt_table(modes: ModeSet, grid) -> np.ndarray:
     modes = as_mode_set(modes)
     rho = radial_grid(grid)
     out = np.empty((rho.size, len(modes)), dtype=np.float64)
-    wanted: dict[int, list[tuple[int, int]]] = {}
-    for col, mode in enumerate(modes):
-        wanted.setdefault(mode.n, []).append((mode.m_abs, col))
-    top = max(wanted, default=-1)
-    reach = [0] * (top + 2)
-    for n in range(top, -1, -1):
-        reach[n] = max([reach[n + 1]] + [n + m for m, _ in wanted.get(n, ())])
     below: dict[int, np.ndarray] = {}
     prev = below
-    for n in range(top + 1):
+    for n, (lanes, wanted) in enumerate(ztt_levels([(mode.n, mode.m_abs) for mode in modes])):
         level = {
             m: rho**n if m == n else rho * (prev[abs(m - 1)] + prev[m + 1]) - below[m]
-            for m in range(n % 2, min(n, reach[n] - n) + 1, 2)
+            for m in lanes
         }
-        for m, col in wanted.get(n, ()):
+        for m, col in wanted:
             out[:, col] = level[m]
         below, prev = prev, level
     return out

@@ -1,9 +1,10 @@
 """Exact integer/rational reference for the radial polynomials.
 
 Coefficient expansion is integer-only (the binomial form guarantees integer
-coefficients), evaluation is exact rational Horner, and reference tables are
-rounded to binary64 exactly once at the very end. This replaces a fixed-
-precision decimal reference: there is no precision to choose, and the
+coefficients) and single points are evaluated by exact rational Horner.
+Reference tables run the Zernike three-term recursion on integers instead,
+and are rounded to binary64 exactly once at the very end. This replaces a
+fixed-precision decimal reference: there is no precision to choose, and the
 question "how many bits would have been enough?" becomes an experiment
 (`precision_sweep`) instead of an assumption.
 """
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .modes import ModeSet, _integer, as_mode_set, dedup_plan
-from .modes import radial_mode, radial_sweep_modes
+from .modes import radial_mode, radial_sweep_modes, ztt_levels
 from .tables import EvalMatrix, GridError, check_deriv_order
 
 _MIN_SIGNIFICAND_BITS = 24  # binary32; anything below is meaningless here
@@ -107,49 +108,53 @@ def _eval_terms_rational(terms, a: int, b: int) -> tuple[int, int]:
 
 
 def _exact_columns(
-    polys: Sequence[ExactRadialPoly], points: Sequence[Fraction]
-) -> list[list[float]]:
-    """Exact values of every polynomial at every point, rounded once to binary64.
+    keys: Sequence[tuple[int, int]], points: Sequence[Fraction], deriv_order: int = 0
+) -> np.ndarray:
+    """Exact values of every radial key (n, |m|) at every point, rounded once to binary64.
 
-    Returns one list of len(points) floats per polynomial. Points are grouped
-    by reduced denominator b. Within a group each polynomial's coefficient of
-    rho^e is scaled by b^(top-e) once, so the Horner step per point is
-    ``acc * a**2 + C`` on the numerator a alone, with a**2 and a**low shared by
-    every polynomial. The integers are those of ``_eval_terms_rational``;
-    each entry is one correctly rounded big-int division by b**top.
+    Returns an array of shape (len(keys), len(points)). At rho = a/b, reduced,
+    the integer S = b**(n - d) * d^d R_n^m / drho^d follows the Zernike
+    three-term recursion over the lanes that ``ztt_levels`` keeps, with
+    Sigma_d = S_{n-1}^{|m-1|,d} + S_{n-1}^{m+1,d} (lanes past level n - 1 are 0):
+
+        d = 0:  S_n^m = a * Sigma_0 - b**2 * S_{n-2}^m
+        d >= 1: S_n^{m,d} = b**2 * S_{n-2}^{m,d} + n * Sigma_{d-1}
+
+    the second from R_n' - R_{n-2}' = n (R_{n-1}^{|m-1|} + R_{n-1}^{m+1}).
+    Each (lane, point) costs O(d + 1) big-int operations, against O(n) per
+    (key, point) for a Horner sum. Each entry is one correctly rounded
+    division by b**(n - d); an order above the degree stays +0.0.
     """
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i, p in enumerate(points):
-        groups.setdefault(p.denominator, []).append((i, p.numerator))
-    columns = [[0.0] * len(points) for _ in polys]
-    for b, members in groups.items():
-        squares = [(i, a, a * a) for i, a in members]
-        low_powers: dict[int, list[int]] = {}
-        for poly, column in zip(polys, columns):
-            terms = poly.terms
-            if not terms:
-                continue
-            top, low = terms[0][0], terms[-1][0]
-            # exponents step by 2, so each Horner step multiplies by a**2
-            scaled = [c * b ** (top - e) for e, c in terms]
-            head, tail = scaled[0], scaled[1:]
-            den = b**top
-            powers = low_powers.get(low)
-            if powers is None:
-                powers = low_powers[low] = [a**low for _, a in members]
-            for (i, a, a2), a_low in zip(squares, powers):
-                acc = head
-                for c in tail:
-                    acc = acc * a2 + c
-                column[i] = acc * a_low / den  # correctly rounded
-    return columns
+    out = np.zeros((len(keys), len(points)))
+    nums = [p.numerator for p in points]
+    dens = [p.denominator for p in points]
+    b2 = [b * b for b in dens]
+    scale = [1] * len(points)  # b**(n - deriv_order) from level deriv_order on
+    zero = [[0] * len(points)] * (deriv_order + 1)
+    below, prev = {}, {0: [[1] * len(points)] + zero[1:]}
+    for n, (lanes, wanted) in enumerate(ztt_levels(keys)):
+        if n:
+            level = {}
+            for m in lanes:
+                x, y, z = prev.get(abs(m - 1), zero), prev.get(m + 1, zero), below.get(m, zero)
+                rows = [[a * (u + v) - c * w for a, c, u, v, w in zip(nums, b2, x[0], y[0], z[0])]]
+                for xd, yd, zd in zip(x, y, z[1:]):  # order d from orders d - 1 and d
+                    rows.append([c * w + n * (u + v) for c, u, v, w in zip(b2, xd, yd, zd)])
+                level[m] = rows
+            below, prev = prev, level
+        if n > deriv_order:
+            scale = [s * b for s, b in zip(scale, dens)]
+        if n >= deriv_order:
+            for m, col in wanted:
+                out[col] = [s / t for s, t in zip(prev[m][deriv_order], scale)]
+    return out
 
 
 def _unit_point(x) -> Fraction:
     """x as an exact Fraction; GridError unless it is a finite point of [0, 1]."""
     try:
         p = Fraction(x)
-    except (OverflowError, ValueError):  # inf, NaN
+    except (OverflowError, TypeError, ValueError):  # inf, NaN, not a number
         raise GridError(f"rho must be a finite point of [0, 1], got {x!r}") from None
     if p < 0 or p > 1:
         raise GridError(f"rho must lie in [0, 1], got {p}")
@@ -157,9 +162,12 @@ def _unit_point(x) -> Fraction:
 
 
 def _as_fractions(grid) -> tuple[Fraction, ...]:
-    """The grid's points as exact Fractions; GridError for an empty grid."""
-    values = grid.tolist() if isinstance(grid, np.ndarray) else grid
-    points = tuple(_unit_point(x) for x in values)
+    """The grid's points as exact Fractions, shaped as by `radial_grid`: a scalar
+    is one point; GridError for a grid that is not 1-D or is empty."""
+    values = np.atleast_1d(np.asarray(grid, dtype=object))
+    if values.ndim != 1:
+        raise GridError(f"radial grid must be 1-D, got shape {values.shape}")
+    points = tuple(_unit_point(x) for x in values.tolist())
     if not points:
         raise GridError("need at least one point, got an empty grid")
     return points
@@ -187,15 +195,7 @@ def oracle_table(modes: ModeSet, grid, deriv_order: int = 0) -> EvalMatrix:
     modes = as_mode_set(modes)
     points = _as_fractions(grid)
     plan = dedup_plan(modes)
-    polys = []
-    for n, m_abs in plan.unique_keys:
-        poly = radial_coefficients(n, m_abs)
-        if deriv_order:
-            poly = differentiate_exact(poly, deriv_order)
-        polys.append(poly)
-    columns = np.array(_exact_columns(polys, points), dtype=np.float64).reshape(
-        len(polys), len(points)
-    )
+    columns = _exact_columns(plan.unique_keys, points, deriv_order)
     values = columns[np.array(plan.scatter, dtype=np.intp)].T
     return EvalMatrix(values=values, modes=modes, deriv_order=deriv_order)
 
@@ -448,7 +448,8 @@ def precision_sweep(
     widths = _significand_widths(mantissa_bits)
     points = _as_fractions(grid)
 
-    polys = [radial_coefficients(mode.n, mode.m) for mode in radial_sweep_modes(n_max)]
-    references = _exact_columns(polys, points)
+    keys = [(mode.n, mode.m) for mode in radial_sweep_modes(n_max)]
+    polys = [radial_coefficients(n, m_abs) for n, m_abs in keys]
+    references = _exact_columns(keys, points)
 
     return [(bits, _deviation(polys, references, points, bits)) for bits in widths]

@@ -97,7 +97,10 @@ def as_mode_set(pairs: Iterable) -> ModeSet:
         if isinstance(item, Mode):
             out.append(item)
         else:
-            n, m = item
+            try:
+                n, m = item
+            except (TypeError, ValueError):
+                raise ModeError(f"need a Mode or an (n, m) pair, got {item!r}") from None
             out.append(make_mode(n, m))
     return tuple(out)
 
@@ -120,6 +123,23 @@ def radial_sweep_modes(n_max: int) -> ModeSet:
     return tuple(
         Mode(n, m) for n in range(n_max + 1) for m in range(n % 2, n + 1, 2)
     )
+
+
+def ztt_levels(keys: Sequence[tuple[int, int]]) -> list[tuple[range, list[tuple[int, int]]]]:
+    """Level plan of the Zernike three-term recursion for radial keys (n, |m|).
+
+    Entry n holds the lanes m that level n computes and the (m, position in
+    ``keys``) pairs it serves. A lane is kept only while a requested (N, M)
+    with N >= n still depends on it: m <= n and m <= max(N + M) - n.
+    """
+    wanted: dict[int, list[tuple[int, int]]] = {}
+    for col, (n, m) in enumerate(keys):
+        wanted.setdefault(n, []).append((m, col))
+    reach, levels = 0, []
+    for n in range(max(wanted, default=-1), -1, -1):
+        reach = max([reach] + [n + m for m, _ in wanted.get(n, ())])
+        levels.append((range(n % 2, min(n, reach - n) + 1, 2), wanted.get(n, [])))
+    return levels[::-1]
 
 
 @dataclass(frozen=True)

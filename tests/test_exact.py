@@ -172,27 +172,34 @@ def test_oracle_table_accepts_floats_exactly():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_oracle_table_matches_eval_exact_on_mixed_denominators(k):
-    # points fall into many denominator groups: 1 (0 and 1), 2**1074, 2**55
-    # (binary64 0.1), the divisors of 99 (i/99 reduces to 1/3, 1/9, 1/11, ...)
-    # and 7
-    grid = (
-        [Fraction(0), Fraction(1), Fraction(5e-324), Fraction(0.1)]
-        + [Fraction(i, 99) for i in range(100)]
-        + [Fraction(i, 7) for i in range(8)]
-    )
-    pairs = [(n, m) for n in range(21) for m in range(-n, n + 1, 2)]
-    pairs += [(6, 2), (6, -2), (20, 0), (0, 0)]  # duplicate columns
-    modes = zk.as_mode_set(pairs)
-    table = oracle_table(modes, grid, k)
-    expected = {}
-    for col, mode in enumerate(modes):
-        key = (mode.n, mode.m_abs)
-        if key not in expected:
-            poly = radial_coefficients(*key)
-            if k:
-                poly = differentiate_exact(poly, k)
-            expected[key] = [float(eval_exact(poly, rho)) for rho in grid]
-        assert table.values[:, col].tolist() == expected[key], (mode, k)
+    # points fall into many denominator groups: 1 (0 and 1), 2**53, 2**55
+    # (binary64 0.1), 2**600, 2**1074, the divisors of 99 (i/99 reduces to
+    # 1/3, 1/9, 1/11, ...) and 7
+    points = [Fraction(0), Fraction(1), Fraction(1 - 2**-53), Fraction(0.1)]
+    low = [(n, m) for n in range(21) for m in range(-n, n + 1, 2)]
+    low += [(6, 2), (6, -2), (20, 0), (0, 0)]  # duplicate columns
+    # every m at the degrees around 2**6 and at the CLI's cap, and keys whose
+    # degree is below the order; the exact reference at a tiny point takes
+    # seconds per order there, so these run on fewer, larger points
+    high = [(n, m) for n in (63, 64, 149, 150) for m in range(-n, n + 1, 2)]
+    high += [(0, 0), (1, 1), (2, 2)]
+    cases = [
+        (low, points + [Fraction(5e-324), Fraction(1, 2**600)]
+         + [Fraction(i, 99) for i in range(100)] + [Fraction(i, 7) for i in range(8)]),
+        (high, points + [Fraction(1, 3), Fraction(50, 99), Fraction(98, 99), Fraction(3, 7)]),
+    ]
+    for pairs, grid in cases:
+        modes = zk.as_mode_set(pairs)
+        table = oracle_table(modes, grid, k)
+        expected = {}
+        for col, mode in enumerate(modes):
+            key = (mode.n, mode.m_abs)
+            if key not in expected:
+                poly = radial_coefficients(*key)
+                if k:
+                    poly = differentiate_exact(poly, k)
+                expected[key] = [float(eval_exact(poly, rho)) for rho in grid]
+            assert table.values[:, col].tolist() == expected[key], (mode, k)
 
 
 def test_oracle_table_rejects_out_of_range_grid():
@@ -208,6 +215,20 @@ def test_oracle_table_rejects_out_of_range_grid():
     for empty in ([], np.array([])):
         with pytest.raises(GridError, match="empty"):
             oracle_table(zk.as_mode_set([(0, 0)]), empty, 0)
+    # the shape rule of radial_grid: a scalar is one point, a 2-D grid an error
+    for scalar in (0.5, Fraction(1, 3), np.float64(0.5)):
+        assert oracle_table([(2, 0)], scalar).values.tobytes() == (
+            oracle_table([(2, 0)], [scalar]).values.tobytes()
+        )
+        assert zk.precision_sweep(4, [53], scalar) == zk.precision_sweep(4, [53], [scalar])
+    for grid in (np.array([[0.5, 0.2]]), [[Fraction(1, 2)], [Fraction(1, 5)]]):
+        with pytest.raises(GridError, match="1-D"):
+            oracle_table([(2, 0)], grid)
+        with pytest.raises(GridError, match="1-D"):
+            zk.precision_sweep(4, [53], grid)
+    # a ragged grid is 1-D with a list for a point
+    with pytest.raises(GridError, match="finite"):
+        oracle_table([(2, 0)], [[0.5], [0.2, 0.3]])
 
 
 def test_max_abs_error_rows():

@@ -158,6 +158,10 @@ def test_as_mode_set_mixes_modes_and_pairs():
     assert modes == (Mode(2, 0), Mode(3, 1))
     with pytest.raises(ParityViolation):
         as_mode_set([(3, 2)])
+    # a malformed entry is a typed error that names it
+    for bad in ([3], [(1, 2, 3)]):
+        with pytest.raises(ModeError, match=re.escape(repr(bad[0]))):
+            as_mode_set(bad)
 
 
 def test_modes_are_hashable_and_frozen():
