@@ -6,15 +6,16 @@ degree); ``independent`` recomputes each unique mode's chain from scratch.
 ``evaluate_batch`` is the one entry point: it runs the plan that the
 request's ``strategy`` names, single-threaded, with the identical recurrence
 in the identical order for either plan, so their outputs are bit-for-bit
-equal; the step counter, summed over the plan that ran, shows how much
+equal; the step counter, summed over the chains that ran, shows how much
 recomputation the cache avoids. It runs every Jacobi evaluation in zernkit:
 ``evaluate.radial_jacobi`` is a one-mode request.
 
-Groups run in ascending alpha = |m|. Every group's chains reuse one buffer
-per derivative shift, and each power of rho is formed once per request, in
-one table by exponent; each unique radial result is assembled in one row and
-copied into every row it serves of one C-contiguous (modes, points) buffer.
-``EvalMatrix.values`` is its transpose: points by modes, Fortran-ordered.
+Whole groups, in ascending alpha = |m|, are stacked into blocks, and each
+block runs as one degree-stacked ``jacobi_steps`` recursion that keeps a
+ring of each chain's last degrees. When shift 0 reaches degree j, each mode
+of degree j is assembled from the ring and copied into every row it serves
+of one C-contiguous (modes, points) buffer; each power of rho is formed once
+per request. ``EvalMatrix.values`` is its transpose: points by modes.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import (
+from .evaluate import (  # perfbench's probes patch jacobi_chain and assemble_radial here
     PowerTable,
     assemble_radial,
     jacobi_argument,
     jacobi_chain,
+    jacobi_steps,
     radial_powers,
     range_guard,
 )
@@ -35,10 +37,12 @@ from .modes import DedupPlan, ModeSet, as_mode_set, dedup_plan
 from .tables import EvalMatrix, check_deriv_order, radial_grid
 
 STRATEGIES = ("cached", "independent")
+# Chain state one block stacks, its ring and two scratch rows per chain: half
+# an L2 of 2 MiB (at 2 MiB the buffers of a request start to cost fresh pages)
+BLOCK_BYTES = 1 << 20
 
-# (alpha, chain degree per shift 0..k, [(jacobi degree, output rows)]);
-# a negative chain degree means that shift needs no chain
-ChainGroup = tuple[int, range, list[tuple[int, list[int]]]]
+# (alpha, [(j_max, alpha + i, i) per shift i with a chain], [(jacobi degree, output rows)])
+ChainGroup = tuple[int, list[tuple[int, int, int]], list[tuple[int, list[int]]]]
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,8 @@ class BatchRequest:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
 
 
-def _chain_plan(
-    plan: DedupPlan, strategy: str, deriv_order: int
-) -> tuple[list[ChainGroup], StepCounter]:
-    """The chains a strategy runs for this plan, and the work they cost.
+def _chain_plan(plan: DedupPlan, strategy: str, deriv_order: int) -> list[ChainGroup]:
+    """The chains a strategy runs for this plan.
 
     Groups come in ascending alpha = |m|. ``cached`` makes one group per
     alpha and runs each shift's chain once, to the group's highest degree;
@@ -86,20 +88,33 @@ def _chain_plan(
     for alpha, entries in sorted(by_alpha.items()):
         for part in [entries] if strategy == "cached" else [[entry] for entry in entries]:
             j_max = max(j for j, _ in part)
-            groups.append((alpha, range(j_max, j_max - deriv_order - 1, -1), part))
-    run = [degree for _, degrees, _ in groups for degree in degrees if degree >= 0]
-    # the base cases P_0 and P_1 take no recursion step
-    return groups, StepCounter(sum(max(0, degree - 1) for degree in run), len(run))
+            shifts = range(min(deriv_order, j_max) + 1)
+            groups.append((alpha, [(j_max - i, alpha + i, i) for i in shifts], part))
+    return groups
+
+
+def _predicted(plan: DedupPlan, strategy: str, deriv_order: int) -> StepCounter:
+    """Steps and chains of a strategy's plan; the base cases P_0 and P_1 take no step."""
+    chains = [chain for _, group, _ in _chain_plan(plan, strategy, deriv_order) for chain in group]
+    return StepCounter(sum(max(0, j_max - 1) for j_max, _, _ in chains), len(chains))
 
 
 def cached_step_counter(plan: DedupPlan, deriv_order: int) -> StepCounter:
-    """Steps/chains the cached strategy performs for this plan."""
-    return _chain_plan(plan, "cached", deriv_order)[1]
+    """Steps/chains the cached strategy's plan predicts."""
+    return _predicted(plan, "cached", deriv_order)
 
 
 def independent_step_counter(plan: DedupPlan, deriv_order: int) -> StepCounter:
-    """Steps/chains the independent strategy performs for this plan."""
-    return _chain_plan(plan, "independent", deriv_order)[1]
+    """Steps/chains the independent strategy's plan predicts."""
+    return _predicted(plan, "independent", deriv_order)
+
+
+class _RingRow(tuple):
+    """(ring, row): one chain's row of a ring of states, read by degree like a whole chain."""
+
+    def __getitem__(self, degree: int) -> np.ndarray:
+        ring, row = self
+        return ring[degree % len(ring), row]
 
 
 def evaluate_batch(
@@ -108,32 +123,54 @@ def evaluate_batch(
     """Run the request's chain plan; columns follow the request's mode order.
 
     ``parallel`` is accepted for compatibility and ignored: evaluation is
-    single-threaded.
+    single-threaded. The counter sums the chains and steps that ran.
     """
     rho = request.grid
     u = jacobi_argument(rho)
     k = request.deriv_order
-    groups, counter = _chain_plan(dedup_plan(request.modes), request.strategy, k)
+    groups = _chain_plan(dedup_plan(request.modes), request.strategy, k)
     out = np.empty((len(request.modes), rho.size), dtype=np.float64)
-    # one chain buffer per shift, deep enough for every group's chain of it
-    depths = map(max, zip(*(degrees for _, degrees, _ in groups)))
-    buffers = [np.empty((max(depth + 1, 0), rho.size)) for depth in depths]
+    # the readout of degree j reads shift i's degree j - i before degree j + 1 is written
+    depth = max(k + 1, 3)
+    capacity = BLOCK_BYTES // ((depth + 2) * 8 * max(rho.size, 1))
+    blocks: list[list[ChainGroup]] = []
+    size = capacity
+    for group in groups:  # whole consecutive groups, at most capacity chains a block
+        if size + len(group[1]) > capacity:
+            blocks.append([])
+            size = 0
+        blocks[-1].append(group)
+        size += len(group[1])
+    widest = min(sum(len(chains) for _, chains, _ in groups), max(capacity, k + 1))
+    ring, scratch = np.empty((depth, widest, rho.size)), np.empty((2, widest, rho.size))
     # a copy stores into fresh output pages faster than an arithmetic ufunc:
     # assembling here first saves ~10% of full N = 100 at 10^4 points
     value = np.empty(rho.size)
     table = PowerTable(rho)
-    for alpha, degrees, entries in groups:
-        # groups run in ascending alpha: no later group reads an exponent below alpha - k
-        for e in [e for e in table if e < alpha - k]:
+    steps = chain_count = 0
+    readouts: dict[int, list] = {}
+
+    def readout(j):  # every mode of degree j in the running block
+        for alpha, rows, powers, served in readouts.get(j, ()):
+            assemble_radial(alpha, j, k, rows, powers, value)
+            for row in served:
+                out[row] = value
+
+    for block in blocks:
+        # blocks run in ascending alpha: no later block reads an exponent below alpha - k
+        for e in [e for e in table if e < block[0][0] - k]:
             del table[e]
-        with range_guard(alpha + 2 * degrees[0]):
-            chains = [
-                jacobi_chain(degree, alpha + i, i, u, out=buffer) if degree >= 0 else None
-                for i, (degree, buffer) in enumerate(zip(degrees, buffers))
-            ]
+        stack = [(c, g) for g, (_, chains, _) in enumerate(block) for c in chains]
+        stack.sort(reverse=True)
+        shifts = [[None] * len(chains) for _, chains, _ in block]
+        for r, ((_, _, i), g) in enumerate(stack):
+            shifts[g][i] = _RingRow((ring, r))
+        readouts.clear()
+        for (alpha, _, entries), rows in zip(block, shifts):
             powers = radial_powers(table, alpha, k)
-            for j, rows in entries:
-                assemble_radial(alpha, j, k, chains, powers, value)
-                for row in rows:
-                    out[row] = value
-    return EvalMatrix(out.T, request.modes, k), counter
+            for j, served in entries:
+                readouts.setdefault(j, []).append((alpha, rows, powers, served))
+        with range_guard(max(alpha + 2 * chains[0][0] for alpha, chains, _ in block)):
+            steps += jacobi_steps(u, [c for c, _ in stack], ring, scratch, readout)
+        chain_count += len(stack)
+    return EvalMatrix(out.T, request.modes, k), StepCounter(steps, chain_count)

@@ -6,7 +6,7 @@ three-term recursion. Two baselines are kept deliberately: the direct
 alternating sum (unstable at high degree) and the Zernike three-term
 recursion. Derivatives up to third order ride the same Jacobi chains at
 shifted parameters. ``batch.evaluate_batch`` runs every Jacobi evaluation
-with this module's steps; ``radial_jacobi`` is a one-mode request to it.
+as degree-stacked ``jacobi_steps``; ``radial_jacobi`` is a one-mode request.
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ for _beta in range(4):
 _COEFFS.flags.writeable = False
 _ONE, _TWO = np.array(1.0), np.array(2.0)
 _ONE.flags.writeable = _TWO.flags.writeable = False
+multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
+# Points from which jacobi_steps runs each row alone: numpy's broadcasting loop,
+# which a stacked step needs, costs about 3x per element of its contiguous loop
+STACK_POINTS = 1024
 
 
 def jacobi_argument(rho: np.ndarray) -> np.ndarray:
@@ -69,6 +73,85 @@ def _coefficient_rows(j_max: int, alpha: int, beta: int) -> np.ndarray:
     if beta < 4 and alpha <= MAX_ACCURACY_N + 3 and j_max <= MAX_ACCURACY_N // 2:
         return _COEFFS[beta, alpha, 2 : j_max + 1]
     return _coefficients(np.arange(2, j_max + 1, dtype=object), alpha, beta)
+
+
+def _coefficient_columns(chains) -> np.ndarray:
+    """Coefficients of stacked chains (j_max, alpha, beta) at degrees 2..top, as
+    [j - 2, :, chain]: the table's gathered in one read, one chain's read in place."""
+    if len(chains) == 1:
+        return _coefficient_rows(*chains[0])[:, :, None]
+    columns = np.empty((len(chains), chains[0][0] - 1, 4))
+    j_max, alpha, beta = np.array(chains).T
+    inside = (alpha <= MAX_ACCURACY_N + 3) & (j_max <= MAX_ACCURACY_N // 2)
+    end = min(chains[0][0], MAX_ACCURACY_N // 2)
+    columns[inside, : end - 1] = _COEFFS[beta[inside], alpha[inside], 2 : end + 1]
+    for r in np.flatnonzero(~inside & (j_max >= 2)):
+        columns[r, : j_max[r] - 1] = _coefficient_rows(*chains[r])
+    return columns.transpose(1, 2, 0)
+
+
+def jacobi_steps(x, chains, ring, scratch, readout=lambda j: None) -> int:
+    """Run stacked Jacobi chains at x degree by degree; return the recursion steps.
+
+    ``chains`` lists (j_max, alpha, beta) per row, by descending j_max, so the
+    rows that reach degree j are a prefix. Degree j of row r goes to
+    ``ring[j % len(ring), r]``, ``scratch`` holds two rows per chain, and
+    ``readout(j)`` runs once every row that reaches j holds it. Below
+    STACK_POINTS points and over two live rows, one set of ufuncs advances all
+    live rows, each row's coefficients a column; otherwise each row runs on
+    1-D rows and 0-d coefficients. Every element sees the one-chain
+    recurrence's operations in order, so no bit depends on the stack.
+    """
+    depth, size, steps, singles = len(ring), len(chains), 0, None
+    ring[0, :size] = 1.0
+    readout(0)
+    j, coeffs = 1, np.empty((4, size))
+    for count in range(size, 0, -1):  # the first count rows reach degree top
+        top = chains[count - 1][0]
+        if top < j:
+            continue
+        if j == 1:
+            _first_degree(x, chains[:count], ring[1, 0] if count == 1 else ring[1, :count])
+            readout(1)
+            j, columns = 2, _coefficient_columns(chains)
+        # a unit: its coefficients, its rows of the ring, and its degrees j - 2 and j - 1
+        live = coeffs if count == size else coeffs[:, :count]
+        back2, back1 = (j - 2) % depth, (j - 1) % depth
+        if count > 2 and x.size < STACK_POINTS:
+            (acc, lag), rows = scratch[:, :count], slice(count)
+            units = [[*live[:, :, None], rows, ring[back2, rows], ring[back1, rows]]]
+        else:
+            acc, lag = scratch[:, 0]
+            singles = singles or [
+                [coeffs[0, r, ...], coeffs[1, r, ...], coeffs[2, r, ...], coeffs[3, r, ...],
+                 r, ring[back2, r], ring[back1, r]]
+                for r in range(count)
+            ]
+            del singles[count:]
+            units = singles
+        steps += count * (top + 1 - j)
+        for row in columns[j - 2 : top - 1, :, :count]:
+            live[...] = row
+            for unit in units:
+                lead, mid_x, mid_const, last, rows, prev, cur = unit
+                multiply(mid_x, x, acc)
+                add(acc, mid_const, acc)
+                multiply(acc, cur, acc)
+                multiply(last, prev, lag)
+                subtract(acc, lag, acc)
+                unit[5], unit[6] = cur, divide(acc, lead, ring[j % depth, rows])
+            readout(j)
+            j += 1
+        j = top + 1
+    return steps
+
+
+def _first_degree(x, chains, out) -> None:
+    """P_1 = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2 of each chain, rounded as written."""
+    factors = np.array([(a + b + 2.0, a + 1.0) for _, a, b in chains]).T[:, :, None]
+    scale, offset = (factors[0, 0, 0, ...], factors[1, 0, 0, ...]) if len(chains) == 1 else factors
+    multiply(scale, subtract(x, _ONE, out), out)
+    add(offset, divide(out, _TWO, out), out)
 
 
 def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
@@ -88,19 +171,16 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
     Returns
     -------
     ndarray, shape (j_max + 1, N)
-        row j holds P_j^(alpha, beta) at every point; callers may read any
-        intermediate degree, which is what the cached batch strategy shares
+        row j holds P_j^(alpha, beta) at every point
 
     Notes
     -----
-    P_0 and P_1 are explicit base cases; the recursion is only applied for
-    j >= 2, where its leading factor 2j(c-j)(c-2) with c = 2j+alpha+beta is
-    strictly positive for alpha, beta >= 0. Each operation is one ufunc, in
-    order, through two scratch rows into row j; rows j-1 and j-2 are carried.
-    The integer coefficients are rounded once, read from a constant table for
-    every chain a mode of degree <= MAX_ACCURACY_N reads at k <= 3, and reach
-    the ufuncs as 0-d views of one (4,) array refilled per step: numpy converts
-    a Python float operand on every call.
+    The one-row form of ``jacobi_steps``, whose ring is the whole chain: the
+    batch engine's recurrence, bit for bit, through two scratch rows. P_0 and
+    P_1 are explicit base cases; the recursion runs for j >= 2, where its
+    leading factor 2j(c-j)(c-2), c = 2j+alpha+beta, is positive. Its integer
+    coefficients are rounded once, read in place from a constant table for
+    every chain a mode of degree <= MAX_ACCURACY_N reads at k <= 3.
     """
     try:
         j_max, alpha, beta = _index(j_max), _index(alpha), _index(beta)
@@ -110,26 +190,7 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
         raise ValueError(f"need j_max, alpha, beta >= 0, got {j_max}, ({alpha}, {beta})")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.empty((j_max + 1, x.size)) if out is None else out[: j_max + 1]
-    out[0] = 1.0
-    if j_max == 0:
-        return out
-    multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
-    # P_1 = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2, rounded as written
-    prev, cur = out[0], out[1]
-    multiply(float(alpha + beta + 2), subtract(x, _ONE, cur), cur)
-    add(float(alpha + 1), divide(cur, _TWO, cur), cur)
-    if j_max == 1:
-        return out
-    acc, lag, coeffs = np.empty(x.size), np.empty(x.size), np.empty(4)
-    lead, mid_x, mid_const, last = coeffs[0, ...], coeffs[1, ...], coeffs[2, ...], coeffs[3, ...]
-    for row, dest in zip(_coefficient_rows(j_max, alpha, beta), out[2:]):
-        coeffs[...] = row
-        multiply(mid_x, x, acc)
-        add(acc, mid_const, acc)
-        multiply(acc, cur, acc)
-        multiply(last, prev, lag)
-        subtract(acc, lag, acc)
-        prev, cur = cur, divide(acc, lead, dest)
+    jacobi_steps(x, ((j_max, alpha, beta),), out[:, None], np.empty((2, 1, x.size)))
     return out
 
 
@@ -252,11 +313,8 @@ def radial_jacobi(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
     -------
     ndarray, shape (len(grid),)
     """
-    # batch imports this module, so its names can only be looked up at call time
-    from .batch import BatchRequest, evaluate_batch
-
-    request = BatchRequest((radial_mode(n, m_abs),), grid, deriv_order)
-    return evaluate_batch(request)[0].values[:, 0]
+    request = batch.BatchRequest((radial_mode(n, m_abs),), grid, deriv_order)
+    return batch.evaluate_batch(request)[0].values[:, 0]
 
 
 def radial_direct(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
@@ -359,3 +417,7 @@ def zernike_eval(mode: Mode, grid, angles, deriv_order: int = 0) -> np.ndarray:
     rho, theta = pointwise_grids(grid, angles)
     radial = radial_jacobi(mode.n, mode.m_abs, rho, deriv_order)
     return radial * angular_factor(mode.m, theta)
+
+
+# batch imports this module: bound last, once every name batch reads is defined
+from . import batch  # noqa: E402

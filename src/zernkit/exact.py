@@ -123,8 +123,16 @@ def _exact_columns(
     the second from R_n' - R_{n-2}' = n (R_{n-1}^{|m-1|} + R_{n-1}^{m+1}).
     Each (lane, point) costs O(d + 1) big-int operations, against O(n) per
     (key, point) for a Horner sum. Each entry is one correctly rounded
-    division by b**(n - d); an order above the degree stays +0.0.
+    division by b**(n - d); an order above the degree stays +0.0. A request
+    whose lanes times d + 1 pass four times its keys' Horner terms (a few
+    keys of high degree) takes ``_horner_columns`` instead: the same exact
+    rational, rounded the same way.
     """
+    levels = ztt_levels(keys)
+    if sum(len(lanes) for lanes, _ in levels) * (deriv_order + 1) > 4 * sum(
+        (n - m) // 2 + 1 for n, m in keys
+    ):
+        return _horner_columns(keys, points, deriv_order)
     out = np.zeros((len(keys), len(points)))
     nums = [p.numerator for p in points]
     dens = [p.denominator for p in points]
@@ -132,7 +140,7 @@ def _exact_columns(
     scale = [1] * len(points)  # b**(n - deriv_order) from level deriv_order on
     zero = [[0] * len(points)] * (deriv_order + 1)
     below, prev = {}, {0: [[1] * len(points)] + zero[1:]}
-    for n, (lanes, wanted) in enumerate(ztt_levels(keys)):
+    for n, (lanes, wanted) in enumerate(levels):
         if n:
             level = {}
             for m in lanes:
@@ -147,6 +155,18 @@ def _exact_columns(
         if n >= deriv_order:
             for m, col in wanted:
                 out[col] = [s / t for s, t in zip(prev[m][deriv_order], scale)]
+    return out
+
+
+def _horner_columns(
+    keys: Sequence[tuple[int, int]], points: Sequence[Fraction], deriv_order: int
+) -> np.ndarray:
+    """``_exact_columns`` by one exact Horner sum (``eval_exact``) per (key, point)."""
+    out = np.zeros((len(keys), len(points)))
+    for col, (n, m) in enumerate(keys):
+        poly = radial_coefficients(n, m)
+        poly = differentiate_exact(poly, deriv_order) if deriv_order else poly
+        out[col] = [float(eval_exact(poly, p)) for p in points]
     return out
 
 

@@ -294,3 +294,72 @@ PINNED_SHA256 = {
 def test_full_basis_bits_are_pinned(strategy, k):
     table, _ = evaluate_batch(BatchRequest(full_mode_set(60), PINNED_GRID, k, strategy))
     assert hashlib.sha256(table.values.tobytes()).hexdigest() == PINNED_SHA256[k]
+
+
+# --- the degree-stacked engine -------------------------------------------------
+
+# (block bytes, stacking points): one block per group or one for the request,
+# each with every live row in one set of ufuncs or each row on its own
+ENGINES = [(1, 10**9), (1, 0), (1 << 30, 10**9), (1 << 30, 0)]
+
+
+@pytest.fixture(params=ENGINES, ids=lambda e: f"block{e[0]}-stack{e[1]}")
+def engine(request, monkeypatch):
+    block_bytes, stack_points = request.param
+    monkeypatch.setattr(zk.batch, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(zk.evaluate, "STACK_POINTS", stack_points)
+    return request.param
+
+
+def single_chain_reference(modes, grid, k):
+    """Per mode, its chains in expression form, unshared, and then the assembly."""
+    u = jacobi_argument(grid)
+    columns = []
+    for mode in modes:
+        m, j = mode.m_abs, mode.jacobi_degree
+        chains = [reference_chain(j - i, m + i, i, u) if j >= i else None for i in range(k + 1)]
+        powers = radial_powers(PowerTable(grid), m, k)
+        columns.append(assemble_radial(m, j, k, chains, powers, np.empty(grid.size)))
+    return np.stack(columns, axis=1)
+
+
+# table rows with rows past it (degree 80 > 75; alpha 158 > 153; 154 only at shift 3),
+# chains of degree 0 and 1, shifts with no chain (k > j), repeats and flipped m
+EDGE_MODES = [(10, 2), (160, 0), (0, 0), (200, 158), (1, 1), (3, -1), (2, 0), (199, 151),
+              (4, 4), (151, 1), (10, -2), (5, 3), (6, 6), (160, 0), (12, 0)]
+
+
+@pytest.mark.parametrize("strategy", ["cached", "independent"])
+@pytest.mark.parametrize("k", range(4))
+def test_stack_matches_single_chains_bitwise(engine, strategy, k, monkeypatch):
+    grid = np.array([0.0, 5e-324, 1.0] + seeded_points(19, 9))
+    runs = []
+    steps = zk.batch.jacobi_steps
+    monkeypatch.setattr(zk.batch, "jacobi_steps", lambda *a: runs.append(1) or steps(*a))
+    modes = zk.as_mode_set(EDGE_MODES)
+    table, _ = evaluate_batch(BatchRequest(modes, grid, k, strategy))
+    assert table.values.tobytes() == single_chain_reference(modes, grid, k).tobytes()
+    groups = len(zk.batch._chain_plan(dedup_plan(modes), strategy, k))
+    assert len(runs) == (groups if engine[0] == 1 else 1)
+
+
+@pytest.mark.parametrize("strategy", ["cached", "independent"])
+@pytest.mark.parametrize("k", range(4))
+def test_executed_steps_equal_the_plan(engine, strategy, k):
+    draw = random.Random(f"steps-{strategy}-{k}")
+    for _ in range(6):
+        pairs = [(n, m) for n in range(draw.randrange(1, 40)) for m in range(-n, n + 1, 2)]
+        modes = zk.as_mode_set(draw.choices(pairs, k=draw.randrange(1, 30)))
+        _, counter = evaluate_batch(BatchRequest(modes, seeded_points(k, 5), k, strategy))
+        plan = dedup_plan(modes)
+        predicted = (cached_step_counter if strategy == "cached" else independent_step_counter)
+        assert counter == predicted(plan, k)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_stack_raises_the_typed_error_without_warnings(engine, k):
+    request = BatchRequest([(20, 4), (1439, 637), (3, 1)], [0.0, 5e-324, 1.0], k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"n=1439, m=637"):
+            evaluate_batch(request)

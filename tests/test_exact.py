@@ -14,7 +14,7 @@ from zernkit.exact import (
     oracle_table,
     radial_coefficients,
 )
-from zernkit.modes import ModeError
+from zernkit.modes import ModeError, radial_sweep_modes
 from zernkit.tables import EvalMatrix, GridError
 
 
@@ -200,6 +200,26 @@ def test_oracle_table_matches_eval_exact_on_mixed_denominators(k):
                     poly = differentiate_exact(poly, k)
                 expected[key] = [float(eval_exact(poly, rho)) for rho in grid]
             assert table.values[:, col].tolist() == expected[key], (mode, k)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_sparse_oracle_requests_take_horner_sums(k, monkeypatch):
+    # a lone high degree would run ~n**2/8 recursion lanes; its Horner sum
+    # rounds the same exact rational, so the bits are the oracle's
+    calls = []
+    horner = zk.exact._horner_columns
+    monkeypatch.setattr(zk.exact, "_horner_columns", lambda *a: calls.append(a) or horner(*a))
+    grid = [Fraction(i, 16) for i in range(17)] + [Fraction(1, 3), Fraction(0.1)]
+    modes = zk.as_mode_set([(1000, 0), (300, -2), (1000, 0), (3, 3)])
+    table = oracle_table(modes, grid, k)
+    assert len(calls) == 1
+    for col, mode in enumerate(modes):
+        poly = radial_coefficients(mode.n, mode.m_abs)
+        poly = differentiate_exact(poly, k) if k else poly
+        assert table.values[:, col].tolist() == [float(eval_exact(poly, x)) for x in grid]
+    # a full sweep, as the CLI sends it, stays on the recursion
+    oracle_table(radial_sweep_modes(20), zk.rational_radial_grid(5), k)
+    assert len(calls) == 1
 
 
 def test_oracle_table_rejects_out_of_range_grid():
