@@ -109,14 +109,6 @@ def independent_step_counter(plan: DedupPlan, deriv_order: int) -> StepCounter:
     return _predicted(plan, "independent", deriv_order)
 
 
-class _RingRow(tuple):
-    """(ring, row): one chain's row of a ring of states, read by degree like a whole chain."""
-
-    def __getitem__(self, degree: int) -> np.ndarray:
-        ring, row = self
-        return ring[degree % len(ring), row]
-
-
 def evaluate_batch(
     request: BatchRequest, parallel: bool = False
 ) -> tuple[EvalMatrix, StepCounter]:
@@ -148,7 +140,6 @@ def evaluate_batch(
     value = np.empty(rho.size)
     table = PowerTable(rho)
     steps = chain_count = 0
-    readouts: dict[int, list] = {}
 
     def readout(j):  # every mode of degree j in the running block
         for alpha, rows, powers, served in readouts.get(j, ()):
@@ -164,8 +155,8 @@ def evaluate_batch(
         stack.sort(reverse=True)
         shifts = [[None] * len(chains) for _, chains, _ in block]
         for r, ((_, _, i), g) in enumerate(stack):
-            shifts[g][i] = _RingRow((ring, r))
-        readouts.clear()
+            shifts[g][i] = ring[:, r]
+        readouts: dict[int, list] = {}  # the readout of degree j, by j
         for (alpha, _, entries), rows in zip(block, shifts):
             powers = radial_powers(table, alpha, k)
             for j, served in entries:

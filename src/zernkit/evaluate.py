@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .exact import _binary64_horner, differentiate_exact, radial_coefficients
-from .modes import Mode, ModeSet, _index, as_mode_set, make_mode, radial_mode, ztt_levels
+from .modes import Mode, ModeSet, _integer, as_mode_set, make_mode, radial_mode, ztt_levels
 from .tables import angular_grid, check_deriv_order, radial_grid
 
 # Degree n from which assemble_radial checks that its output is finite.
@@ -76,18 +76,14 @@ def _coefficient_rows(j_max: int, alpha: int, beta: int) -> np.ndarray:
 
 
 def _coefficient_columns(chains) -> np.ndarray:
-    """Coefficients of stacked chains (j_max, alpha, beta) at degrees 2..top, as
-    [j - 2, :, chain]: the table's gathered in one read, one chain's read in place."""
+    """Coefficients of stacked chains (j_max, alpha, beta) at degrees 2..top, as [j - 2, :, chain],
+    each chain's from ``_coefficient_rows`` (unset past its j_max); one chain's read in place."""
     if len(chains) == 1:
         return _coefficient_rows(*chains[0])[:, :, None]
-    columns = np.empty((len(chains), chains[0][0] - 1, 4))
-    j_max, alpha, beta = np.array(chains).T
-    inside = (alpha <= MAX_ACCURACY_N + 3) & (j_max <= MAX_ACCURACY_N // 2)
-    end = min(chains[0][0], MAX_ACCURACY_N // 2)
-    columns[inside, : end - 1] = _COEFFS[beta[inside], alpha[inside], 2 : end + 1]
-    for r in np.flatnonzero(~inside & (j_max >= 2)):
-        columns[r, : j_max[r] - 1] = _coefficient_rows(*chains[r])
-    return columns.transpose(1, 2, 0)
+    columns = np.empty((chains[0][0] - 1, 4, len(chains)))
+    for r, (j_max, alpha, beta) in enumerate(chains):
+        columns[: max(j_max - 1, 0), :, r] = _coefficient_rows(j_max, alpha, beta)
+    return columns
 
 
 def jacobi_steps(x, chains, ring, scratch, readout=lambda j: None) -> int:
@@ -178,14 +174,12 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
     The one-row form of ``jacobi_steps``, whose ring is the whole chain: the
     batch engine's recurrence, bit for bit, through two scratch rows. P_0 and
     P_1 are explicit base cases; the recursion runs for j >= 2, where its
-    leading factor 2j(c-j)(c-2), c = 2j+alpha+beta, is positive. Its integer
-    coefficients are rounded once, read in place from a constant table for
-    every chain a mode of degree <= MAX_ACCURACY_N reads at k <= 3.
+    leading factor 2j(c-j)(c-2), c = 2j+alpha+beta, is positive. Its rows of
+    ``_coefficient_rows`` are read in place from a constant table for every
+    chain a mode of degree <= MAX_ACCURACY_N reads at k <= 3.
     """
-    try:
-        j_max, alpha, beta = _index(j_max), _index(alpha), _index(beta)
-    except TypeError:
-        raise ValueError(f"need integers, got j_max={j_max!r}, ({alpha!r}, {beta!r})") from None
+    names = ("j_max", "alpha", "beta")
+    j_max, alpha, beta = map(_integer, names, (j_max, alpha, beta), [ValueError] * 3)
     if min(j_max, alpha, beta) < 0:
         raise ValueError(f"need j_max, alpha, beta >= 0, got {j_max}, ({alpha}, {beta})")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -250,8 +244,8 @@ def assemble_radial(
 ) -> np.ndarray:
     """Combine shifted-parameter Jacobi values into the radial value/derivative.
 
-    ``chains[i]`` is the whole chain of shift i: rows P_0 .. P_d^(m+i, i) at
-    u = 1 - 2*rho**2 with d >= j - i, of which row j - i is read. When
+    ``chains[i]`` holds shift i's P_d^(m+i, i) at u = 1 - 2*rho**2 in row d % len(chains[i]),
+    the whole chain or a ring of its last degrees; degree j - i is read. When
     j < i that term vanishes, ``chains[i]`` is not read and may be None.
     The rho chain rule for the quadratic inner argument gives, with scaled
     derivatives Pk = scale_k * P_{j-k}^(m+k, k):
@@ -276,11 +270,10 @@ def assemble_radial(
     term still enters the sum, as a row of signed zeros.
     From degree CHECKED_MIN_DEGREE on, a non-finite result raises ValueError.
     """
-    m = m_abs
     term = np.empty_like(out) if deriv_order else None  # terms after the first
-    for i, weight in enumerate(_DERIVATIVE_WEIGHTS[deriv_order](m)):
-        factor = weight * jacobi_derivative_scale(j, m, 0, i)
-        row = 0.0 if j < i else chains[i][j - i]
+    for i, weight in enumerate(_DERIVATIVE_WEIGHTS[deriv_order](m_abs)):
+        factor = weight * jacobi_derivative_scale(j, m_abs, 0, i)
+        row = 0.0 if j < i else chains[i][(j - i) % len(chains[i])]
         dest = term if i else out
         scaled = powers[i] if factor == 1 else np.multiply(factor, powers[i], out=dest)
         np.multiply(scaled, row, out=dest)
@@ -288,10 +281,10 @@ def assemble_radial(
             np.add(out, term, out=out)
     if j & 1:
         np.negative(out, out=out)
-    n = m + 2 * j
+    n = m_abs + 2 * j
     if n >= CHECKED_MIN_DEGREE and not np.all(np.isfinite(out)):
         raise ValueError(
-            f"Jacobi evaluation of (n={n}, m={m}) at derivative order {deriv_order} "
+            f"Jacobi evaluation of (n={n}, m={m_abs}) at derivative order {deriv_order} "
             "leaves the binary64 range"
         )
     return out

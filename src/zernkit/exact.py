@@ -122,11 +122,11 @@ def _exact_columns(
 
     the second from R_n' - R_{n-2}' = n (R_{n-1}^{|m-1|} + R_{n-1}^{m+1}).
     Each (lane, point) costs O(d + 1) big-int operations, against O(n) per
-    (key, point) for a Horner sum. Each entry is one correctly rounded
-    division by b**(n - d); an order above the degree stays +0.0. A request
-    whose lanes times d + 1 pass four times its keys' Horner terms (a few
-    keys of high degree) takes ``_horner_columns`` instead: the same exact
-    rational, rounded the same way.
+    (key, point) for a Horner sum; the points' integers sit in numpy object
+    arrays. Each entry is one correctly rounded int/int division by b**(n - d);
+    an order above the degree stays +0.0. A request whose lanes times d + 1
+    pass four times its keys' Horner terms (a few keys of high degree) takes
+    ``_horner_columns`` instead: the same exact rational, rounded the same way.
     """
     levels = ztt_levels(keys)
     if sum(len(lanes) for lanes, _ in levels) * (deriv_order + 1) > 4 * sum(
@@ -134,27 +134,26 @@ def _exact_columns(
     ):
         return _horner_columns(keys, points, deriv_order)
     out = np.zeros((len(keys), len(points)))
-    nums = [p.numerator for p in points]
-    dens = [p.denominator for p in points]
-    b2 = [b * b for b in dens]
-    scale = [1] * len(points)  # b**(n - deriv_order) from level deriv_order on
-    zero = [[0] * len(points)] * (deriv_order + 1)
-    below, prev = {}, {0: [[1] * len(points)] + zero[1:]}
+    nums, dens = np.array([(p.numerator, p.denominator) for p in points], dtype=object).T
+    b2 = dens * dens
+    scale = np.ones(len(points), dtype=object)  # b**(n - deriv_order) from level deriv_order on
+    zero = [np.zeros(len(points), dtype=object)] * (deriv_order + 1)
+    below, prev = {}, {0: [scale] + zero[1:]}  # S_0 = 1; no array is written in place
     for n, (lanes, wanted) in enumerate(levels):
         if n:
             level = {}
             for m in lanes:
                 x, y, z = prev.get(abs(m - 1), zero), prev.get(m + 1, zero), below.get(m, zero)
-                rows = [[a * (u + v) - c * w for a, c, u, v, w in zip(nums, b2, x[0], y[0], z[0])]]
+                rows = [nums * (x[0] + y[0]) - b2 * z[0]]
                 for xd, yd, zd in zip(x, y, z[1:]):  # order d from orders d - 1 and d
-                    rows.append([c * w + n * (u + v) for c, u, v, w in zip(b2, xd, yd, zd)])
+                    rows.append(b2 * zd + n * (xd + yd))
                 level[m] = rows
             below, prev = prev, level
         if n > deriv_order:
-            scale = [s * b for s, b in zip(scale, dens)]
+            scale = scale * dens
         if n >= deriv_order:
             for m, col in wanted:
-                out[col] = [s / t for s, t in zip(prev[m][deriv_order], scale)]
+                out[col] = prev[m][deriv_order] / scale
     return out
 
 
