@@ -156,7 +156,7 @@ def evaluate_batch(
         shifts = [[None] * len(chains) for _, chains, _ in block]
         for r, ((_, _, i), g) in enumerate(stack):
             shifts[g][i] = ring[:, r]
-        readouts: dict[int, list] = {}  # the readout of degree j, by j
+        readouts: dict[int, list] = {}  # this block's modes by degree, read by readout
         for (alpha, _, entries), rows in zip(block, shifts):
             powers = radial_powers(table, alpha, k)
             for j, served in entries:

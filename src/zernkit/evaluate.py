@@ -195,6 +195,9 @@ def jacobi_derivative_scale(j: int, alpha: int, beta: int, order: int) -> float:
     over 2**k, computed as an exact integer then one binary64 division.
     Returns 0.0 when j < order: the derivative is the zero polynomial.
     """
+    if not type(j) is type(alpha) is type(beta) is type(order) is int:  # plain ints: one test
+        names = ("j", "alpha", "beta", "order")
+        j, alpha, beta, order = map(_integer, names, (j, alpha, beta, order), [ValueError] * 4)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if j < order:

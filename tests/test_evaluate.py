@@ -133,6 +133,8 @@ def test_table_chains_allocate_only_scratch_rows():
     x = np.linspace(-1.0, 1.0, 1000)
     buffer = np.empty((DEGREE_END, x.size))
     keys = [(alpha, beta) for beta in range(4) for alpha in (0, 1, 50, ALPHA_END - 1)]
+    for alpha, beta in keys:  # numpy's first-call state, outside the traced pass
+        jacobi_chain(DEGREE_END - 1, alpha, beta, x, out=buffer)
     tracemalloc.start()
     try:
         for alpha, beta in keys:
@@ -140,9 +142,44 @@ def test_table_chains_allocate_only_scratch_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the two scratch rows, plus ~2 KB of array headers and first-call state;
+    # the two scratch rows, plus ~2.2 KB of array headers in steady state;
     # coefficients kept per key would add 2.4 KB for each of the 16 keys
-    assert peak <= 2 * x.nbytes + 3 * 1024, peak
+    assert peak <= 2 * x.nbytes + 2560, peak
+
+
+STACK_EDGES = np.array(CHAIN_EDGES + [0.3, -0.7, 0.999])
+
+
+@pytest.mark.parametrize("stack_points", [0, 10**9])
+@pytest.mark.parametrize(
+    "chains",
+    [
+        # beta past the table's 0..3 beside a chain inside it
+        [(6, 3, 5), (4, 2, 1)],
+        # rows from the table (alpha <= 153, degree <= 75, beta <= 3) and past
+        # it on each bound, beta 0..6, and chains of degree 0 and 1
+        [(80, 155, 0), (76, 153, 2), (75, 150, 3), (72, 160, 6), (70, 2, 5), (40, 3, 1),
+         (12, 0, 4), (5, 7, 2), (1, 4, 6), (1, 0, 0), (0, 9, 3), (0, 151, 5)],
+        [(1, 3, 6), (1, 2, 0), (1, 151, 4), (0, 0, 0)],
+    ],
+)
+def test_stacks_match_reference_chains(monkeypatch, chains, stack_points):
+    # stack_points 0 steps each row alone, 10**9 every live row at once
+    monkeypatch.setattr(evaluate, "STACK_POINTS", stack_points)
+    x = STACK_EDGES
+    want = [reference_chain(*chain, x) for chain in chains]
+    ring = np.full((3, len(chains), x.size), np.nan)  # the shortest ring the batch engine uses
+    read = []
+
+    def readout(j):
+        for r, (j_max, _, _) in enumerate(chains):
+            if j_max >= j:
+                assert ring[j % 3, r].tobytes() == want[r][j].tobytes(), (chains[r], j)
+                read.append((r, j))
+
+    steps = evaluate.jacobi_steps(x, chains, ring, np.empty((2, len(chains), x.size)), readout)
+    assert len(read) == sum(j_max + 1 for j_max, _, _ in chains)
+    assert steps == sum(max(j_max - 1, 0) for j_max, _, _ in chains)
 
 
 def test_derivative_scale_values():
@@ -150,6 +187,18 @@ def test_derivative_scale_values():
     assert jacobi_derivative_scale(3, 2, 0, 1) == 3.0
     assert jacobi_derivative_scale(2, 0, 0, 2) == 3.0
     assert jacobi_derivative_scale(1, 4, 0, 2) == 0.0  # zero-polynomial signal
+    assert jacobi_derivative_scale(np.int64(3), np.int32(2), 0, np.int64(1)) == 3.0
+
+
+@pytest.mark.parametrize(
+    "args", [(3, 2, 0, 2.5), (3, 2, 0, True), (3.0, 2, 0, 1), (3, 2.0, 0, 1), (3, 2, False, 1),
+             (3, 2, 0, "1")]
+)
+def test_derivative_scale_rejects_non_integers(args):
+    # a bool is a flag, not a count: True must not read as order 1
+    bad = next(v for v in args if type(v) is not int)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        jacobi_derivative_scale(*args)
 
 
 # --- radial evaluators ----------------------------------------------------------
