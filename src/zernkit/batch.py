@@ -8,14 +8,14 @@ request's ``strategy`` names, single-threaded, with the identical recurrence
 in the identical order for either plan, so their outputs are bit-for-bit
 equal; the step counter, summed over the chains that ran, shows how much
 recomputation the cache avoids. It runs every Jacobi evaluation in zernkit:
-``evaluate.radial_jacobi`` is a one-mode request.
+``evaluate.radial_jacobi`` is a one-mode request, ``zernike_eval`` one with angles.
 
 Whole groups, in ascending alpha = |m|, are stacked into blocks, and each
 block runs as one degree-stacked ``jacobi_steps`` recursion that keeps a
 ring of each chain's last degrees. When shift 0 reaches degree j, each mode
 of degree j is assembled from the ring and copied into every row it serves
-of one C-contiguous (modes, points) buffer; each power of rho is formed once
-per request. ``EvalMatrix.values`` is its transpose: points by modes.
+of one C-contiguous (modes, points) buffer; each power of rho and each m's
+angular factor is formed once per request. ``EvalMatrix.values``: its transpose.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from .evaluate import (  # perfbench's probes patch jacobi_chain and assemble_radial here
     PowerTable,
+    angular_factor,
     assemble_radial,
     jacobi_argument,
     jacobi_chain,
@@ -34,7 +35,7 @@ from .evaluate import (  # perfbench's probes patch jacobi_chain and assemble_ra
     range_guard,
 )
 from .modes import DedupPlan, ModeSet, as_mode_set, dedup_plan
-from .tables import EvalMatrix, check_deriv_order, radial_grid
+from .tables import EvalMatrix, angular_grid, check_deriv_order, radial_grid
 
 STRATEGIES = ("cached", "independent")
 # Chain state one block stacks, its ring and two scratch rows per chain: half
@@ -55,12 +56,13 @@ class StepCounter:
 
 @dataclass(frozen=True, eq=False)
 class BatchRequest:
-    """A mode set, radial grid, derivative order and strategy choice."""
+    """Modes, radial grid, derivative order, strategy and, for full polynomials, angles."""
 
     modes: ModeSet
     grid: np.ndarray
     deriv_order: int = 0
     strategy: str = "cached"
+    angles: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "modes", as_mode_set(self.modes))
@@ -68,6 +70,10 @@ class BatchRequest:
         check_deriv_order(self.deriv_order)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        angles = self.angles if self.angles is None else angular_grid(self.angles)
+        object.__setattr__(self, "angles", angles)
+        if angles is not None and angles.size != self.grid.size:
+            raise ValueError(f"point-wise grids must match: {self.grid.size} vs {angles.size}")
 
 
 def _chain_plan(plan: DedupPlan, strategy: str, deriv_order: int) -> list[ChainGroup]:
@@ -114,8 +120,8 @@ def evaluate_batch(
 ) -> tuple[EvalMatrix, StepCounter]:
     """Run the request's chain plan; columns follow the request's mode order.
 
-    ``parallel`` is accepted for compatibility and ignored: evaluation is
-    single-threaded. The counter sums the chains and steps that ran.
+    With angles, each row is then scaled in place by its m's ``angular_factor``.
+    ``parallel`` is ignored; the counter sums the chains and steps that ran.
     """
     rho = request.grid
     u = jacobi_argument(rho)
@@ -164,4 +170,12 @@ def evaluate_batch(
         with range_guard(max(alpha + 2 * chains[0][0] for alpha, chains, _ in block)):
             steps += jacobi_steps(u, [c for c, _ in stack], ring, scratch, readout)
         chain_count += len(stack)
+    if request.angles is not None:  # one rounding: the bits of radial times factor
+        theta, rows_by_m = request.angles, {}
+        for mode, row in zip(request.modes, out):
+            rows_by_m.setdefault(mode.m, []).append(row)
+        for m, rows in rows_by_m.items():
+            factor = angular_factor(m, theta)
+            for row in rows:
+                np.multiply(row, factor, out=row)
     return EvalMatrix(out.T, request.modes, k), StepCounter(steps, chain_count)

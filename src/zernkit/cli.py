@@ -22,7 +22,7 @@ import numpy as np
 
 from .batch import STRATEGIES, BatchRequest, evaluate_batch
 from .exact import _significand_widths, max_abs_error, oracle_table, precision_sweep
-from .evaluate import MAX_ACCURACY_N, angular_factor, pointwise_grids, radial_direct, radial_ztt_table
+from .evaluate import MAX_ACCURACY_N, radial_direct, radial_ztt_table
 from .modes import Mode, ModeError, ModeSet, _integer, full_mode_set, make_mode, radial_sweep_modes
 from .tables import (
     EvalMatrix,
@@ -435,13 +435,9 @@ def eval_command(modes_path, rho_path, theta_path, k, fmt, output):
     rho = _parse_lines(rho_path, _parse_value, "values")
     theta = _parse_lines(theta_path, _parse_value, "values") if theta_path else None
     try:
-        angles = None if theta is None else pointwise_grids(rho, theta)[1]
-        values = _candidate_matrix("jacobi", modes, rho, k).values
+        values = evaluate_batch(BatchRequest(modes, rho, k, angles=theta))[0].values
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if angles is not None:
-        for col, mode in enumerate(modes):
-            values[:, col] *= angular_factor(mode.m, angles)
 
     table = values.tolist()
     if fmt == "csv":

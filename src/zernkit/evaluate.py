@@ -5,8 +5,8 @@ The production path maps the radial part onto a Jacobi polynomial of degree
 three-term recursion. Two baselines are kept deliberately: the direct
 alternating sum (unstable at high degree) and the Zernike three-term
 recursion. Derivatives up to third order ride the same Jacobi chains at
-shifted parameters. ``batch.evaluate_batch`` runs every Jacobi evaluation
-as degree-stacked ``jacobi_steps``; ``radial_jacobi`` is a one-mode request.
+shifted parameters. ``batch.evaluate_batch`` runs all chains as degree-stacked
+``jacobi_steps``; ``radial_jacobi`` and ``zernike_eval`` are one-mode requests.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from .exact import _binary64_horner, differentiate_exact, radial_coefficients
 from .modes import Mode, ModeSet, _integer, as_mode_set, make_mode, radial_mode, ztt_levels
+# perfbench's probes patch angular_grid here
 from .tables import angular_grid, check_deriv_order, radial_grid
 
 # Degree n from which assemble_radial checks that its output is finite.
@@ -384,17 +385,6 @@ def radial_at_zero(n: int, m: int) -> float:
     return 1.0 if mode.n % 4 == 0 else -1.0
 
 
-def pointwise_grids(grid, angles) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (rho, theta) for point-wise evaluation: one angle per radial point."""
-    rho = radial_grid(grid)
-    theta = angular_grid(angles)
-    if rho.size != theta.size:
-        raise ValueError(
-            f"point-wise grids must match: {rho.size} radial vs {theta.size} angular"
-        )
-    return rho, theta
-
-
 def angular_factor(m: int, theta: np.ndarray) -> np.ndarray:
     """Angular factor of azimuthal degree m.
 
@@ -406,13 +396,9 @@ def angular_factor(m: int, theta: np.ndarray) -> np.ndarray:
 
 
 def zernike_eval(mode: Mode, grid, angles, deriv_order: int = 0) -> np.ndarray:
-    """Full Zernike polynomial at point-wise (rho, theta) pairs.
-
-    The radial factor (or its rho-derivative) times ``angular_factor``.
-    """
-    rho, theta = pointwise_grids(grid, angles)
-    radial = radial_jacobi(mode.n, mode.m_abs, rho, deriv_order)
-    return radial * angular_factor(mode.m, theta)
+    """Full Zernike polynomial at point-wise (rho, theta) pairs: a one-mode request with angles."""
+    request = batch.BatchRequest((mode,), grid, deriv_order, angles=angles)
+    return batch.evaluate_batch(request)[0].values[:, 0]
 
 
 # batch imports this module: bound last, once every name batch reads is defined
