@@ -120,8 +120,9 @@ def evaluate_batch(
 ) -> tuple[EvalMatrix, StepCounter]:
     """Run the request's chain plan; columns follow the request's mode order.
 
-    With angles, each row is then scaled in place by its m's ``angular_factor``.
-    ``parallel`` is ignored; the counter sums the chains and steps that ran.
+    With angles, each row is then scaled in place by its m's ``angular_factor``;
+    an m * theta that overflows raises ValueError. ``parallel`` is ignored; the
+    counter sums the chains and steps that ran.
     """
     rho = request.grid
     u = jacobi_argument(rho)
@@ -174,6 +175,10 @@ def evaluate_batch(
         theta, rows_by_m = request.angles, {}
         for mode, row in zip(request.modes, out):
             rows_by_m.setdefault(mode.m, []).append(row)
+        m = max(rows_by_m, key=abs, default=0)
+        angle = float(theta[np.abs(theta).argmax()]) if theta.size else 0.0
+        if abs(m * angle) == np.inf:  # the largest product: then every m * theta is finite
+            raise ValueError(f"angular argument m * theta overflows at m={m}, theta={angle!r}")
         for m, rows in rows_by_m.items():
             factor = angular_factor(m, theta)
             for row in rows:

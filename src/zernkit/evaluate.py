@@ -162,8 +162,8 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
         Jacobi parameters, both >= 0 on the Zernike range
     x : ndarray, shape (N,)
         evaluation points
-    out : ndarray, shape (>= j_max + 1, N), optional
-        reusable buffer whose first j_max + 1 rows receive the chain
+    out : float64 ndarray, shape (>= j_max + 1, N), optional
+        reusable buffer (else ValueError) whose first j_max + 1 rows receive the chain
 
     Returns
     -------
@@ -184,9 +184,12 @@ def jacobi_chain(j_max: int, alpha: int, beta: int, x, out=None) -> np.ndarray:
     if min(j_max, alpha, beta) < 0:
         raise ValueError(f"need j_max, alpha, beta >= 0, got {j_max}, ({alpha}, {beta})")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty((j_max + 1, x.size)) if out is None else out[: j_max + 1]
-    jacobi_steps(x, ((j_max, alpha, beta),), out[:, None], np.empty((2, 1, x.size)))
-    return out
+    out = np.empty((j_max + 1, x.size)) if out is None else out
+    if out.dtype != np.float64 or out.shape[1:] != (x.size,) or len(out) <= j_max:
+        shape = f"float64 (>= {j_max + 1}, {x.size})"
+        raise ValueError(f"out must be {shape}, got {out.dtype} {out.shape}")
+    jacobi_steps(x, ((j_max, alpha, beta),), out[: j_max + 1, None], np.empty((2, 1, x.size)))
+    return out[: j_max + 1]
 
 
 def jacobi_derivative_scale(j: int, alpha: int, beta: int, order: int) -> float:

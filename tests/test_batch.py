@@ -16,7 +16,14 @@ from zernkit.batch import (
     evaluate_batch,
     independent_step_counter,
 )
-from zernkit.evaluate import PowerTable, assemble_radial, jacobi_argument, radial_powers
+from zernkit.evaluate import (
+    PowerTable,
+    angular_factor,
+    assemble_radial,
+    jacobi_argument,
+    radial_jacobi,
+    radial_powers,
+)
 from zernkit.modes import Mode, dedup_plan, full_mode_set
 
 from conftest import reference_chain
@@ -196,8 +203,42 @@ def test_request_validation():
         BatchRequest(modes=full_mode_set(2), grid=grid, deriv_order=0, strategy="gpu")
     with pytest.raises(zk.GridError):
         BatchRequest(modes=full_mode_set(2), grid=[2.0], deriv_order=0, strategy="cached")
+    with pytest.raises(ValueError, match="point-wise grids must match"):
+        BatchRequest(modes=full_mode_set(2), grid=grid, angles=[0.0] * 4)
+    for angle in (np.nan, np.inf, -np.inf):
+        with pytest.raises(zk.GridError):
+            BatchRequest(modes=full_mode_set(2), grid=[0.5], angles=[angle])
     req = BatchRequest(modes=[(2, 0), (4, 2)], grid=[0.5], deriv_order=0, strategy="cached")
     assert req.modes == (Mode(2, 0), Mode(4, 2))
+
+
+def columns_times_factors(modes, rho, k, theta):
+    """Full polynomials formed column by column: radial_jacobi times angular_factor."""
+    theta = np.asarray(theta, dtype=np.float64)
+    return [radial_jacobi(n, abs(m), rho, k) * angular_factor(m, theta) for n, m in modes]
+
+
+@pytest.mark.parametrize("strategy", ["cached", "independent"])
+@pytest.mark.parametrize("k", range(4))
+def test_angular_stage_equals_radial_times_factor_bitwise(strategy, k):
+    # m and -m of one key, repeated modes and m = 0; signed zero and subnormal angles
+    modes = [(4, 2), (4, -2), (0, 0), (6, 0), (4, 2), (5, -3), (5, 3), (5, -3), (7, 1)]
+    rho = [0.0, 0.125, 0.3, 0.5, 0.77, 1.0, 0.9]
+    theta = [-0.0, 5e-324, -5e-324, 2.2e-308, 1.5, -4.0, 100.0]
+    got = evaluate_batch(BatchRequest(modes, rho, k, strategy, theta))[0].values
+    for col, want in enumerate(columns_times_factors(modes, rho, k, theta)):
+        assert got[:, col].tobytes() == want.tobytes()
+    empty = evaluate_batch(BatchRequest(modes, [], k, strategy, []))[0].values
+    assert empty.shape == (0, len(modes))
+
+
+def test_angular_arguments_near_the_binary64_maximum():
+    # |m| <= 1 keeps m * theta finite at 1e308 and -1.7e308: the values still follow
+    modes, rho = [(2, 0), (1, 1), (1, -1), (3, -1)], [0.5, 0.25, 1.0]
+    theta = [1e308, -1.7e308, 0.3]
+    got = evaluate_batch(BatchRequest(modes, rho, angles=theta))[0].values
+    for col, want in enumerate(columns_times_factors(modes, rho, 0, theta)):
+        assert got[:, col].tobytes() == want.tobytes()
 
 
 valid_mode = st.integers(0, 24).flatmap(

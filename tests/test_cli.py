@@ -362,6 +362,20 @@ def test_eval_overflow_past_the_gate_is_usage_error(runner, tmp_path):
     assert "n=1439, m=637" in result.output
 
 
+def test_eval_angular_overflow_is_usage_error(runner, tmp_path):
+    modes, rho, theta = (tmp_path / name for name in ("modes.txt", "rho.txt", "theta.txt"))
+    write_lines(modes, ["2 2", "2 -2"])
+    write_lines(rho, ["0.5"])
+    write_lines(theta, ["1e308"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(
+            main, ["eval", "--modes", str(modes), "--rho", str(rho), "--theta", str(theta)]
+        )
+    assert result.exit_code == 2
+    assert "m=2, theta=1e+308" in result.output
+
+
 def test_eval_overflow_prints_no_runtime_warning(runner, tmp_path):
     modes = tmp_path / "modes.txt"
     rho = tmp_path / "rho.txt"

@@ -73,6 +73,18 @@ def test_chain_rejects_bad_arguments():
         assert jacobi_chain(np.int64(3), np.int64(alpha), np.int32(1), x).tobytes() == want
 
 
+@pytest.mark.parametrize(
+    "buffer",
+    [np.zeros((3, 4)), np.zeros((6, 3)), np.zeros((6, 4), dtype=np.float32)],
+    ids=["too-few-rows", "other-point-count", "float32"],
+)
+def test_chain_rejects_bad_out_buffers(buffer):
+    # unchecked, 3 rows wrapped the ring (row 0 ending as P_3), 3 points met
+    # numpy's bare broadcast error and float32 rows returned float32 values
+    with pytest.raises(ValueError, match=re.escape("out must be float64 (>= 6, 4)")):
+        jacobi_chain(5, 1, 0, np.linspace(-1.0, 1.0, 4), out=buffer)
+
+
 CHAIN_EDGES = [1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324]
 # first alpha and first degree past the shared coefficient table
 ALPHA_END, DEGREE_END = evaluate._COEFFS.shape[1:3]
@@ -437,6 +449,14 @@ def test_zernike_eval_derivative_applies_to_radial_factor():
 def test_zernike_eval_rejects_length_mismatch():
     with pytest.raises(ValueError, match="point-wise grids must match"):
         zernike_eval(zk.make_mode(1, 1), [0.1, 0.2], [0.0])
+
+
+@pytest.mark.parametrize("m", [2, -2])
+@pytest.mark.parametrize("angle", [1e308, -1.7e308])
+def test_zernike_eval_angular_overflow_is_value_error(m, angle):
+    # 2 * angle passes binary64's maximum: cos or sin of it would be NaN
+    with pytest.raises(ValueError, match=re.escape(f"m={m}, theta={angle!r}")):
+        zernike_eval(zk.make_mode(2, m), [0.5], [angle])
 
 
 def test_angular_factor_rule():
