@@ -70,7 +70,7 @@ class BatchRequest:
         check_deriv_order(self.deriv_order)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        angles = self.angles if self.angles is None else angular_grid(self.angles)
+        angles = None if self.angles is None else angular_grid(self.angles)
         object.__setattr__(self, "angles", angles)
         if angles is not None and angles.size != self.grid.size:
             raise ValueError(f"point-wise grids must match: {self.grid.size} vs {angles.size}")
