@@ -21,8 +21,10 @@ import click
 import numpy as np
 
 from .batch import STRATEGIES, BatchRequest, evaluate_batch
-from .exact import _significand_widths, max_abs_error, oracle_table, precision_sweep
-from .evaluate import MAX_ACCURACY_N, radial_direct, radial_ztt_table
+from .exact import _oracle_tables, _significand_widths, max_abs_error, precision_sweep
+# perfbench's probes patch oracle_table and radial_direct here
+from .exact import oracle_table
+from .evaluate import MAX_ACCURACY_N, radial_direct, radial_direct_table, radial_ztt_table
 from .modes import Mode, ModeError, ModeSet, _integer, full_mode_set, make_mode, radial_sweep_modes
 from .tables import (
     EvalMatrix,
@@ -78,15 +80,19 @@ def _candidate_matrix(method: str, modes: ModeSet, grid, deriv_order: int) -> Ev
     if method == "jacobi":
         return evaluate_batch(BatchRequest(modes, grid, deriv_order))[0]
     if method == "direct":
-        values = np.empty((len(grid), len(modes)), dtype=np.float64)
-        for col, mode in enumerate(modes):
-            values[:, col] = radial_direct(mode.n, mode.m_abs, grid, deriv_order)
-        return EvalMatrix(values=values, modes=modes, deriv_order=deriv_order)
+        return EvalMatrix(radial_direct_table(modes, grid, deriv_order), modes, deriv_order)
     if method == "ztt":
         if deriv_order:
             raise ValueError("ztt has no derivative form")
         return EvalMatrix(radial_ztt_table(modes, grid), modes, 0)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _check_methods(methods: Sequence[str]) -> None:
+    """ValueError naming the first method of ``methods`` that is unknown or repeated."""
+    for i, method in enumerate(methods):
+        if method not in METHODS or method in methods[:i]:
+            raise ValueError(f"{'repeated' if method in METHODS else 'unknown'} method {method!r}")
 
 
 def _check_n_max(n_max: int) -> None:
@@ -105,21 +111,19 @@ def run_accuracy(
     """Max-abs error of each method against the exact oracle, per mode and order.
 
     Sweeps every (n, m >= 0) mode with n <= n_max on grid_size linearly
-    spaced points; the oracle evaluates the exact rationals i/(P-1), the
-    candidates their binary64 roundings. ztt rows exist only for k = 0.
+    spaced points; the oracle evaluates the exact rationals i/(P-1), every
+    order 0..k_max in one pass, the candidates their binary64 roundings.
+    ztt rows exist only for k = 0. Each method appears once.
     ``serial`` is accepted for compatibility: evaluation is single-threaded.
     """
     _check_n_max(n_max)
     check_deriv_order(k_max, "k_max")
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
+    _check_methods(methods)
     modes = radial_sweep_modes(n_max)
-    exact_points = rational_radial_grid(grid_size)
+    references = _oracle_tables(modes, rational_radial_grid(grid_size), range(k_max + 1))
     float_points = linear_radial_grid(grid_size)
     rows: list[AccuracyRow] = []
-    for k in range(k_max + 1):
-        reference = oracle_table(modes, exact_points, k)
+    for k, reference in enumerate(references):
         for method in methods:
             if method == "ztt" and k:
                 continue
@@ -183,8 +187,8 @@ def run_bench(
     makes three passes over all rows, each timing a loop of calls lasting
     >= 20 ms per row on the monotonic clock; wall_ns_median is the median
     per-call time, corrected for the host's speed in each pass of each
-    (grid, method, strategy) series. Baseline methods (direct,
-    ztt) are timed per-mode with strategy label ``permode``; recursion_steps
+    (grid, method, strategy) series. The baselines (direct, ztt) each evaluate
+    the whole mode set as one table, strategy label ``permode``; recursion_steps
     counts Jacobi recursion applications, so baseline rows record 0. Records
     are ordered by resolution, then grid size, method and strategy as given.
     """
@@ -195,9 +199,7 @@ def run_bench(
         raise ValueError(f"step must be >= 1, got {step}")
     if _integer("repetitions", repetitions, ValueError) < 3:
         raise ValueError(f"repetitions must be >= 3, got {repetitions}")
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
+    _check_methods(methods)
     resolutions = range(n_min, n_max + 1, step)
     mode_sets = {resolution: full_mode_set(resolution) for resolution in resolutions}
     # queued one series (grid, method, strategy) at a time, so that each

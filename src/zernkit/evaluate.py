@@ -17,7 +17,8 @@ import math
 import numpy as np
 
 from .exact import _binary64_horner, differentiate_exact, radial_coefficients
-from .modes import Mode, ModeSet, _integer, as_mode_set, make_mode, radial_mode, ztt_levels
+from .modes import Mode, ModeSet, _integer, as_mode_set, dedup_plan, make_mode, radial_mode
+from .modes import ztt_levels
 # perfbench's probes patch angular_grid here
 from .tables import angular_grid, check_deriv_order, radial_grid
 
@@ -318,30 +319,40 @@ def radial_jacobi(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
 
 
 def radial_direct(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
-    """Radial polynomial by direct binary64 Horner summation.
+    """Radial polynomial by direct binary64 Horner sum: a one-mode ``radial_direct_table``."""
+    return radial_direct_table((radial_mode(n, m_abs),), grid, deriv_order)[:, 0]
 
-    Coefficients are exact integers rounded once to binary64; the alternating
-    sum itself runs in binary64 (`exact._binary64_horner`, the loop of
-    `precision_sweep`'s 53-bit row) and is deliberately kept as the unstable
-    baseline (catastrophic cancellation at high n).
+
+def radial_direct_table(modes: ModeSet, grid, deriv_order: int = 0) -> np.ndarray:
+    """Radial values (or rho-derivatives) of several modes by direct binary64 Horner summation.
+
+    The deliberately unstable baseline. Each unique key's integer coefficients,
+    rounded once (ValueError naming (n, m, k) past binary64), are right-aligned
+    behind +0.0 entries; one `exact._binary64_horner` loop runs every key, each
+    column its one-key sum bit for bit (at u >= 0, +0.0 stays +0.0 up to the first
+    coefficient), then times rho**low; a zero polynomial is +0.0. Shape (points, modes).
     """
-    radial_mode(n, m_abs)
+    modes = as_mode_set(modes)
     check_deriv_order(deriv_order)
     rho = radial_grid(grid)
-    poly = radial_coefficients(n, m_abs)
-    if deriv_order:
-        poly = differentiate_exact(poly, deriv_order)
-    if not poly.terms:
-        return np.zeros_like(rho)
-    try:
-        acc = _binary64_horner(poly.terms, rho * rho)
-    except OverflowError:
-        raise ValueError(
-            f"direct sum of (n={n}, m={m_abs}) at derivative order {deriv_order}: "
-            "a coefficient exceeds the binary64 range"
-        ) from None
-    low = poly.terms[-1][0]
-    return acc * rho**low
+    plan = dedup_plan(modes)
+    polys = [radial_coefficients(n, m_abs) for n, m_abs in plan.unique_keys]
+    polys = [differentiate_exact(p, deriv_order) for p in polys] if deriv_order else polys
+    width = max([1] + [len(poly.terms) for poly in polys])
+    coeffs = np.zeros((width, len(polys), 1))
+    for col, poly in enumerate(polys):
+        try:
+            coeffs[width - len(poly.terms) :, col, 0] = [float(c) for _, c in poly.terms]
+        except OverflowError:
+            raise ValueError(
+                f"direct sum of (n={poly.n}, m={poly.m_abs}) at derivative order "
+                f"{deriv_order}: a coefficient exceeds the binary64 range"
+            ) from None
+    acc = _binary64_horner(coeffs, rho * rho)
+    powers = PowerTable(rho)
+    for row, poly in zip(acc, polys):
+        row *= powers[poly.terms[-1][0] if poly.terms else 0]
+    return acc[np.array(plan.scatter, dtype=np.intp)].T
 
 
 def radial_ztt_table(modes: ModeSet, grid) -> np.ndarray:

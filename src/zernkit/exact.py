@@ -108,37 +108,38 @@ def _eval_terms_rational(terms, a: int, b: int) -> tuple[int, int]:
 
 
 def _exact_columns(
-    keys: Sequence[tuple[int, int]], points: Sequence[Fraction], deriv_order: int = 0
+    keys: Sequence[tuple[int, int]], points: Sequence[Fraction], orders: range = range(1)
 ) -> np.ndarray:
     """Exact values of every radial key (n, |m|) at every point, rounded once to binary64.
 
-    Returns an array of shape (len(keys), len(points)). At rho = a/b, reduced,
-    the integer S = b**(n - d) * d^d R_n^m / drho^d follows the Zernike
-    three-term recursion over the lanes that ``ztt_levels`` keeps, with
+    Shape (len(orders), len(keys), len(points)), a table per order d in ``orders``.
+    At rho = a/b, reduced, the integer S = b**(n - d) * d^d R_n^m / drho^d follows
+    the Zernike three-term recursion over the lanes that ``ztt_levels`` keeps, with
     Sigma_d = S_{n-1}^{|m-1|,d} + S_{n-1}^{m+1,d} (lanes past level n - 1 are 0):
 
         d = 0:  S_n^m = a * Sigma_0 - b**2 * S_{n-2}^m
         d >= 1: S_n^{m,d} = b**2 * S_{n-2}^{m,d} + n * Sigma_{d-1}
 
     the second from R_n' - R_{n-2}' = n (R_{n-1}^{|m-1|} + R_{n-1}^{m+1}).
-    Each (lane, point) costs O(d + 1) big-int operations, against O(n) per
-    (key, point) for a Horner sum; the points' integers sit in numpy object
-    arrays. Each entry is one correctly rounded int/int division by b**(n - d);
-    an order above the degree stays +0.0. A request whose lanes times d + 1
-    pass four times its keys' Horner terms (a few keys of high degree) takes
-    ``_horner_columns`` instead: the same exact rational, rounded the same way.
+    A lane carries every order to the highest: O(d + 1) big-int operations per
+    (lane, point), against O(n) per (key, point, order) for a Horner sum; the
+    points' integers sit in numpy object arrays. Each entry is one correctly
+    rounded int/int division by b**(n - d); an order above the degree stays +0.0.
+    A request whose lanes times d + 1 pass four times its Horner terms (a few
+    keys of high degree) takes ``_horner_columns``: the same rationals, rounded alike.
     """
+    top = orders[-1]
     levels = ztt_levels(keys)
-    if sum(len(lanes) for lanes, _ in levels) * (deriv_order + 1) > 4 * sum(
+    if sum(len(lanes) for lanes, _ in levels) * (top + 1) > 4 * len(orders) * sum(
         (n - m) // 2 + 1 for n, m in keys
     ):
-        return _horner_columns(keys, points, deriv_order)
-    out = np.zeros((len(keys), len(points)))
+        return _horner_columns(keys, points, orders)
+    out = np.zeros((len(orders), len(keys), len(points)))
     nums, dens = np.array([(p.numerator, p.denominator) for p in points], dtype=object).T
     b2 = dens * dens
-    scale = np.ones(len(points), dtype=object)  # b**(n - deriv_order) from level deriv_order on
-    zero = [np.zeros(len(points), dtype=object)] * (deriv_order + 1)
-    below, prev = {}, {0: [scale] + zero[1:]}  # S_0 = 1; no array is written in place
+    scales = [np.ones(len(points), dtype=object)]  # scales[e] = b**e, one more per level
+    zero = [np.zeros(len(points), dtype=object)] * (top + 1)
+    below, prev = {}, {0: scales[:1] + zero[1:]}  # S_0 = 1; no array is written in place
     for n, (lanes, wanted) in enumerate(levels):
         if n:
             level = {}
@@ -149,23 +150,25 @@ def _exact_columns(
                     rows.append(b2 * zd + n * (xd + yd))
                 level[m] = rows
             below, prev = prev, level
-        if n > deriv_order:
-            scale = scale * dens
-        if n >= deriv_order:
-            for m, col in wanted:
-                out[col] = prev[m][deriv_order] / scale
+        if n > orders[0]:
+            scales.append(scales[-1] * dens)
+        for row, d in zip(out, orders):
+            if n >= d:
+                for m, col in wanted:
+                    row[col] = prev[m][d] / scales[n - d]
     return out
 
 
 def _horner_columns(
-    keys: Sequence[tuple[int, int]], points: Sequence[Fraction], deriv_order: int
+    keys: Sequence[tuple[int, int]], points: Sequence[Fraction], orders: range
 ) -> np.ndarray:
-    """``_exact_columns`` by one exact Horner sum (``eval_exact``) per (key, point)."""
-    out = np.zeros((len(keys), len(points)))
+    """``_exact_columns`` by one exact Horner sum (``eval_exact``) per (order, key, point)."""
+    out = np.zeros((len(orders), len(keys), len(points)))
     for col, (n, m) in enumerate(keys):
         poly = radial_coefficients(n, m)
-        poly = differentiate_exact(poly, deriv_order) if deriv_order else poly
-        out[col] = [float(eval_exact(poly, p)) for p in points]
+        for row, d in zip(out, orders):
+            derived = differentiate_exact(poly, d) if d else poly
+            row[col] = [float(eval_exact(derived, p)) for p in points]
     return out
 
 
@@ -192,6 +195,15 @@ def _as_fractions(grid) -> tuple[Fraction, ...]:
     return points
 
 
+def _oracle_tables(modes: ModeSet, grid, orders: range) -> list[EvalMatrix]:
+    """``oracle_table`` at each order in ``orders``, from one ``_exact_columns`` pass."""
+    modes = as_mode_set(modes)
+    plan = dedup_plan(modes)
+    columns = _exact_columns(plan.unique_keys, _as_fractions(grid), orders)
+    scatter = np.array(plan.scatter, dtype=np.intp)
+    return [EvalMatrix(table[scatter].T, modes, d) for table, d in zip(columns, orders)]
+
+
 def oracle_table(modes: ModeSet, grid, deriv_order: int = 0) -> EvalMatrix:
     """Reference table: exact values correctly rounded once to binary64.
 
@@ -208,15 +220,10 @@ def oracle_table(modes: ModeSet, grid, deriv_order: int = 0) -> EvalMatrix:
     Returns
     -------
     EvalMatrix
-        one correctly rounded binary64 entry per point and mode
+        one correctly rounded binary64 entry per point and mode, one order of `_oracle_tables`
     """
     check_deriv_order(deriv_order)
-    modes = as_mode_set(modes)
-    points = _as_fractions(grid)
-    plan = dedup_plan(modes)
-    columns = _exact_columns(plan.unique_keys, points, deriv_order)
-    values = columns[np.array(plan.scatter, dtype=np.intp)].T
-    return EvalMatrix(values=values, modes=modes, deriv_order=deriv_order)
+    return _oracle_tables(modes, grid, range(deriv_order, deriv_order + 1))[0]
 
 
 @dataclass(frozen=True)
@@ -355,16 +362,11 @@ def _simulated_direct_column(
     return out
 
 
-def _binary64_horner(terms: Sequence[tuple[int, int]], u: np.ndarray) -> np.ndarray:
-    """Direct sum of integer terms in u = x*x on binary64, at every point of u.
-
-    Each coefficient is rounded once (``float(c)``, OverflowError past the
-    binary64 range); each Horner step ``acc * u + c`` rounds twice. The loop
-    of `radial_direct`, and of each polynomial that `_deviation` runs on
-    binary64 in `precision_sweep`'s 53-bit row.
-    """
-    coeffs = [float(c) for _, c in terms]
-    acc = np.full_like(u, coeffs[0])
+def _binary64_horner(coeffs, u: np.ndarray) -> np.ndarray:
+    """Direct sum in u = x*x on binary64 of coefficients (values, or columns that
+    broadcast against u), highest power first; each step ``acc * u + c`` rounds
+    twice. The loop of `radial_direct_table` and of `precision_sweep`'s 53-bit row."""
+    acc = np.ones_like(u) * coeffs[0]
     for c in coeffs[1:]:
         acc = acc * u + c
     return acc
@@ -423,7 +425,7 @@ def _deviation(
                     float_powers[m_abs] = _binary64_column(powers[m_abs])
             if u is not None and (not m_abs or float_powers[m_abs] is not None):
                 try:
-                    row[:] = _binary64_horner(poly.terms, u)
+                    row[:] = _binary64_horner([float(c) for _, c in poly.terms], u)
                     if m_abs:
                         row *= float_powers[m_abs]
                     continue
@@ -469,6 +471,6 @@ def precision_sweep(
 
     keys = [(mode.n, mode.m) for mode in radial_sweep_modes(n_max)]
     polys = [radial_coefficients(n, m_abs) for n, m_abs in keys]
-    references = _exact_columns(keys, points)
+    references = _exact_columns(keys, points)[0]
 
     return [(bits, _deviation(polys, references, points, bits)) for bits in widths]

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import re
@@ -89,6 +90,42 @@ def test_accuracy_rejects_negative_k_max(runner):
     result = runner.invoke(main, ["accuracy", "--n-max", "2", "--k-max", "-1"])
     assert result.exit_code == 2
     assert "k_max must be in 0..3" in result.output
+
+
+def test_repeated_or_unknown_methods_are_rejected(runner):
+    # a repeated method would score (or time) every mode twice
+    for methods, message in (
+        (("jacobi", "direct", "jacobi"), "repeated method 'jacobi'"),
+        (("ztt", "magic"), "unknown method 'magic'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_accuracy(2, methods, 5)
+        with pytest.raises(ValueError, match=message):
+            run_bench(2, 2, grid_sizes=(8,), repetitions=3, methods=methods)
+    bench = ["bench", "--n-min", "2", "--n-max", "2", "--grid-size", "8", "--reps", "3"]
+    for command in (["accuracy", "--n-max", "2"], bench):
+        result = runner.invoke(main, command + ["--method", "jacobi", "--method", "jacobi"])
+        assert result.exit_code == 2, command
+        assert "repeated method 'jacobi'" in result.output
+
+
+# SHA-256 of each command's CSV. The accuracy sweep meets the oracle, the
+# engine and both baselines, the precision study the p-bit simulator: a bit
+# that moves in any of them changes a digest.
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["accuracy", "--n-max", "40", "--k-max", "3"],
+         "953b88b0143a668ffd36d007094e66820e3e1a9398810ab5f88e57962e98d0fd"),
+        (["precision", "--n-max", "30"],
+         "2fcb3094b3765b1242a4cf61c53943030056a84b5ed1fdb6c936dd179e25d72a"),
+    ],
+)
+def test_cli_output_bits_are_pinned(runner, tmp_path, args, digest):
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, args + ["--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_run_accuracy_rejects_k_max_above_three():

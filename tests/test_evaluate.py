@@ -21,6 +21,7 @@ from zernkit.evaluate import (
     jacobi_derivative_scale,
     radial_at_zero,
     radial_direct,
+    radial_direct_table,
     radial_jacobi,
     radial_powers,
     radial_ztt,
@@ -312,6 +313,50 @@ def test_radial_direct_derivative_path(grid100, rational100):
     reference = zk.oracle_table(zk.as_mode_set([(8, 2)]), rational100, 2)
     got = radial_direct(8, 2, grid100, 2)
     assert np.max(np.abs(got - reference.values[:, 0])) < 1e-10
+
+
+def direct_reference(n, m_abs, rho, k):
+    """The one-mode direct sum written out: each coefficient rounded once,
+    Horner in u = rho**2 in expression form, then times rho**low."""
+    poly = zk.radial_coefficients(n, m_abs)
+    poly = zk.differentiate_exact(poly, k) if k else poly
+    if not poly.terms:
+        return np.zeros_like(rho)
+    u = rho * rho
+    acc = np.full_like(u, float(poly.terms[0][1]))
+    for _, c in poly.terms[1:]:
+        acc = acc * u + float(c)
+    return acc * rho ** poly.terms[-1][0]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_direct_table_equals_one_mode_sums_bitwise(k):
+    # right-aligned behind +0.0 rows, every column keeps its one-mode bits:
+    # keys of every length in one stack, repeats, flipped m, zero polynomials
+    # (k above the degree), and points at 0, subnormal, tiny and 1
+    rho = np.array([0.0, 5e-324, 1e-300, 1e-3, 0.5, 0.999, 1.0])
+    pairs = [(0, 0), (1, -1), (2, 2), (3, 1), (40, 0), (40, -6), (7, -3), (40, 0), (21, 21)]
+    pairs += [(2, 0), (3, 3), (1, 1), (60, 2)]
+    full = full_mode_set(24)
+    for modes, grid in ((pairs, rho), (full, zk.linear_radial_grid(50))):
+        table = radial_direct_table(modes, grid, k)
+        assert table.shape == (grid.size, len(modes))
+        for col, mode in enumerate(zk.as_mode_set(modes)):
+            want = direct_reference(mode.n, mode.m_abs, grid, k).tobytes()
+            assert table[:, col].tobytes() == want, (mode, k)
+            assert radial_direct(mode.n, mode.m_abs, grid, k).tobytes() == want
+    # a stack of zero polynomials only, and no modes at all
+    assert radial_direct_table([(0, 0), (1, -1)], rho, 2).tobytes() == bytes(16 * rho.size)
+    assert radial_direct_table([], rho, k).shape == (rho.size, 0)
+
+
+def test_direct_table_coefficient_overflow_names_the_key():
+    with pytest.raises(ValueError) as one:
+        radial_direct(814, 0, [0.5])
+    with pytest.raises(ValueError) as table:
+        radial_direct_table([(2, 0), (812, 0), (814, 0), (4, 2)], [0.5])
+    assert str(table.value) == str(one.value)
+    assert np.isfinite(radial_direct_table([(2, 0), (812, 0)], [0.5])).all()
 
 
 def test_radial_ztt_seed_is_exact_power():

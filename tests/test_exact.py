@@ -222,6 +222,31 @@ def test_sparse_oracle_requests_take_horner_sums(k, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("orders", [range(4), range(1, 3), range(3, 4)])
+def test_one_pass_orders_equal_oracle_table_bitwise(orders, monkeypatch):
+    # the accuracy sweep reads every order's reference from one recursion;
+    # each equals oracle_table at that order, byte for byte: a sweep to n = 40
+    # with repeats and flipped m, whose (0, 0), (1, 1) and (2, 2) lie below
+    # orders 1..3, and a few high-degree keys, which take the Horner sums
+    calls = []
+    horner = zk.exact._horner_columns
+    monkeypatch.setattr(zk.exact, "_horner_columns", lambda *a: calls.append(a) or horner(*a))
+    sweep = [(mode.n, mode.m) for mode in radial_sweep_modes(40)] + [(6, -2), (40, 0), (1, -1)]
+    sparse = [(1000, 0), (3, -1), (0, 0), (1000, 0), (2, 2)]
+    cases = [(sweep, zk.rational_radial_grid(33)), (sparse, [Fraction(0), Fraction(1, 3), 1])]
+    for case, (pairs, grid) in enumerate(cases):
+        tables = zk.exact._oracle_tables(pairs, grid, orders)
+        assert len(calls) == case
+        assert [table.deriv_order for table in tables] == list(orders)
+        for table, k in zip(tables, orders):
+            expected = oracle_table(pairs, grid, k)
+            assert table.modes == expected.modes
+            assert table.values.tobytes() == expected.values.tobytes(), (case, k)
+            for col, (n, m) in enumerate(pairs):
+                if n < k:  # the zero polynomial: +0.0, as the recursion leaves it
+                    assert table.values[:, col].tobytes() == bytes(8 * len(grid))
+
+
 def test_oracle_table_rejects_out_of_range_grid():
     with pytest.raises(GridError):
         oracle_table(zk.as_mode_set([(0, 0)]), [Fraction(5, 4)], 0)
