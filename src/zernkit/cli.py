@@ -24,7 +24,8 @@ from .batch import STRATEGIES, BatchRequest, evaluate_batch
 from .exact import _oracle_tables, _significand_widths, max_abs_error, precision_sweep
 # perfbench's probes patch oracle_table and radial_direct here
 from .exact import oracle_table
-from .evaluate import MAX_ACCURACY_N, radial_direct, radial_direct_table, radial_ztt_table
+from .evaluate import MAX_ACCURACY_N, _direct_tables, radial_direct, radial_direct_table
+from .evaluate import radial_ztt_table
 from .modes import Mode, ModeError, ModeSet, _integer, full_mode_set, make_mode, radial_sweep_modes
 from .tables import (
     EvalMatrix,
@@ -112,7 +113,8 @@ def run_accuracy(
 
     Sweeps every (n, m >= 0) mode with n <= n_max on grid_size linearly
     spaced points; the oracle evaluates the exact rationals i/(P-1), every
-    order 0..k_max in one pass, the candidates their binary64 roundings.
+    order 0..k_max in one pass, the candidates their binary64 roundings; the
+    direct baseline expands each key's coefficients once for every order.
     ztt rows exist only for k = 0. Each method appears once.
     ``serial`` is accepted for compatibility: evaluation is single-threaded.
     """
@@ -122,12 +124,16 @@ def run_accuracy(
     modes = radial_sweep_modes(n_max)
     references = _oracle_tables(modes, rational_radial_grid(grid_size), range(k_max + 1))
     float_points = linear_radial_grid(grid_size)
+    direct = _direct_tables(modes, float_points, range(k_max + 1)) if "direct" in methods else []
     rows: list[AccuracyRow] = []
     for k, reference in enumerate(references):
         for method in methods:
             if method == "ztt" and k:
                 continue
-            candidate = _candidate_matrix(method, modes, float_points, k)
+            if method == "direct":
+                candidate = EvalMatrix(direct[k], modes, k)
+            else:
+                candidate = _candidate_matrix(method, modes, float_points, k)
             for err in max_abs_error(candidate, reference):
                 rows.append(AccuracyRow(err.n, err.m, k, method, err.max_abs_err))
     order = {m: i for i, m in enumerate(methods)}

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .exact import _binary64_horner, differentiate_exact, radial_coefficients
+from .exact import _binary64_horner, _coefficient_stack, differentiate_exact, radial_coefficients
 from .modes import Mode, ModeSet, _integer, as_mode_set, dedup_plan, make_mode, radial_mode
 from .modes import ztt_levels
 # perfbench's probes patch angular_grid here
@@ -326,33 +326,31 @@ def radial_direct(n: int, m_abs: int, grid, deriv_order: int = 0) -> np.ndarray:
 def radial_direct_table(modes: ModeSet, grid, deriv_order: int = 0) -> np.ndarray:
     """Radial values (or rho-derivatives) of several modes by direct binary64 Horner summation.
 
-    The deliberately unstable baseline. Each unique key's integer coefficients,
-    rounded once (ValueError naming (n, m, k) past binary64), are right-aligned
-    behind +0.0 entries; one `exact._binary64_horner` loop runs every key, each
-    column its one-key sum bit for bit (at u >= 0, +0.0 stays +0.0 up to the first
-    coefficient), then times rho**low; a zero polynomial is +0.0. Shape (points, modes).
+    The deliberately unstable baseline: one `exact._binary64_horner` loop over the
+    unique keys' `exact._coefficient_stack` (ValueError naming (n, m, k) past
+    binary64), each column its one-key sum bit for bit, then times rho**low; a
+    zero polynomial is +0.0. Shape (points, modes). One order of `_direct_tables`.
     """
-    modes = as_mode_set(modes)
     check_deriv_order(deriv_order)
+    return _direct_tables(modes, grid, range(deriv_order, deriv_order + 1))[0]
+
+
+def _direct_tables(modes: ModeSet, grid, orders: range) -> list[np.ndarray]:
+    """``radial_direct_table`` at each order in ``orders``: the grid is checked,
+    the modes deduplicated and each key's coefficients expanded once."""
+    modes = as_mode_set(modes)
     rho = radial_grid(grid)
     plan = dedup_plan(modes)
-    polys = [radial_coefficients(n, m_abs) for n, m_abs in plan.unique_keys]
-    polys = [differentiate_exact(p, deriv_order) for p in polys] if deriv_order else polys
-    width = max([1] + [len(poly.terms) for poly in polys])
-    coeffs = np.zeros((width, len(polys), 1))
-    for col, poly in enumerate(polys):
-        try:
-            coeffs[width - len(poly.terms) :, col, 0] = [float(c) for _, c in poly.terms]
-        except OverflowError:
-            raise ValueError(
-                f"direct sum of (n={poly.n}, m={poly.m_abs}) at derivative order "
-                f"{deriv_order}: a coefficient exceeds the binary64 range"
-            ) from None
-    acc = _binary64_horner(coeffs, rho * rho)
+    expanded = [radial_coefficients(n, m_abs) for n, m_abs in plan.unique_keys]
     powers = PowerTable(rho)
-    for row, poly in zip(acc, polys):
-        row *= powers[poly.terms[-1][0] if poly.terms else 0]
-    return acc[np.array(plan.scatter, dtype=np.intp)].T
+    tables = []
+    for d in orders:
+        polys = [differentiate_exact(p, d) for p in expanded] if d else expanded
+        acc = _binary64_horner(_coefficient_stack(polys), rho * rho)
+        for row, poly in zip(acc, polys):
+            row *= powers[poly.terms[-1][0] if poly.terms else 0]
+        tables.append(acc[np.array(plan.scatter, dtype=np.intp)].T)
+    return tables
 
 
 def radial_ztt_table(modes: ModeSet, grid) -> np.ndarray:

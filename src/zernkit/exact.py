@@ -108,8 +108,11 @@ def _eval_terms_rational(terms, a: int, b: int) -> tuple[int, int]:
 
 
 def _exact_columns(
-    keys: Sequence[tuple[int, int]], points: Sequence[Fraction], orders: range = range(1)
-) -> np.ndarray:
+    keys: Sequence[tuple[int, int]],
+    points: Sequence[Fraction],
+    orders: range = range(1),
+    bound: np.ndarray | None = None,
+):
     """Exact values of every radial key (n, |m|) at every point, rounded once to binary64.
 
     Shape (len(orders), len(keys), len(points)), a table per order d in ``orders``.
@@ -127,14 +130,31 @@ def _exact_columns(
     rounded int/int division by b**(n - d); an order above the degree stays +0.0.
     A request whose lanes times d + 1 pass four times its Horner terms (a few
     keys of high degree) takes ``_horner_columns``: the same rationals, rounded alike.
+
+    With ``bound`` (keys x points, a `_rounding_bound`) the result is (tables,
+    residuals): the order-0 pass also forms each entry's RN64(v - ref) while its
+    lane's integers are at hand (`_residuals`), inf where it could settle nothing.
     """
-    top = orders[-1]
     levels = ztt_levels(keys)
-    if sum(len(lanes) for lanes, _ in levels) * (top + 1) > 4 * len(orders) * sum(
+    if sum(len(lanes) for lanes, _ in levels) * (orders[-1] + 1) > 4 * len(orders) * sum(
         (n - m) // 2 + 1 for n, m in keys
     ):
-        return _horner_columns(keys, points, orders)
+        entries = _horner_columns(keys, points, orders)
+    else:
+        entries = _recursion_columns(levels, points, orders)
     out = np.zeros((len(orders), len(keys), len(points)))
+    residuals = None if bound is None else np.full(out.shape[1:], np.inf)
+    for i, col, nums, dens in entries:
+        out[i, col] = nums / dens
+        if residuals is not None and orders[i] == 0:
+            residuals[col] = _residuals(nums, dens, out[i, col], bound[col])
+    return out if bound is None else (out, residuals)
+
+
+def _recursion_columns(levels, points: Sequence[Fraction], orders: range):
+    """(order index, key index, numerators, denominators) of every entry that
+    ``_exact_columns`` writes, from the three-term recursion over ``levels``."""
+    top = orders[-1]
     nums, dens = np.array([(p.numerator, p.denominator) for p in points], dtype=object).T
     b2 = dens * dens
     scales = [np.ones(len(points), dtype=object)]  # scales[e] = b**e, one more per level
@@ -152,24 +172,21 @@ def _exact_columns(
             below, prev = prev, level
         if n > orders[0]:
             scales.append(scales[-1] * dens)
-        for row, d in zip(out, orders):
+        for i, d in enumerate(orders):
             if n >= d:
                 for m, col in wanted:
-                    row[col] = prev[m][d] / scales[n - d]
-    return out
+                    yield i, col, prev[m][d], scales[n - d]
 
 
-def _horner_columns(
-    keys: Sequence[tuple[int, int]], points: Sequence[Fraction], orders: range
-) -> np.ndarray:
-    """``_exact_columns`` by one exact Horner sum (``eval_exact``) per (order, key, point)."""
-    out = np.zeros((len(orders), len(keys), len(points)))
+def _horner_columns(keys: Sequence[tuple[int, int]], points: Sequence[Fraction], orders: range):
+    """``_recursion_columns``' entries by one exact Horner sum per (order, key, point)."""
     for col, (n, m) in enumerate(keys):
         poly = radial_coefficients(n, m)
-        for row, d in zip(out, orders):
-            derived = differentiate_exact(poly, d) if d else poly
-            row[col] = [float(eval_exact(derived, p)) for p in points]
-    return out
+        for i, d in enumerate(orders):
+            terms = (differentiate_exact(poly, d) if d else poly).terms
+            pairs = [_eval_terms_rational(terms, p.numerator, p.denominator) for p in points]
+            nums, dens = np.array(pairs, dtype=object).T
+            yield i, col, nums, dens
 
 
 def _unit_point(x) -> Fraction:
@@ -365,11 +382,29 @@ def _simulated_direct_column(
 def _binary64_horner(coeffs, u: np.ndarray) -> np.ndarray:
     """Direct sum in u = x*x on binary64 of coefficients (values, or columns that
     broadcast against u), highest power first; each step ``acc * u + c`` rounds
-    twice. The loop of `radial_direct_table` and of `precision_sweep`'s 53-bit row."""
+    twice. The loop of `radial_direct_table`, `_rounding_bound` and the 53-bit row."""
     acc = np.ones_like(u) * coeffs[0]
     for c in coeffs[1:]:
         acc = acc * u + c
     return acc
+
+
+def _coefficient_stack(polys: Sequence[ExactRadialPoly]) -> np.ndarray:
+    """Coefficients of every polynomial as one `_binary64_horner` stack, shape
+    (longest, polys, 1): each rounded once by ``float(c)`` and right-aligned behind
+    +0.0 entries, so at u >= 0 each column's sum is its own bit for bit (+0.0 stays
+    +0.0 up to the first coefficient); ValueError naming (n, m, k) past binary64."""
+    width = max([1] + [len(poly.terms) for poly in polys])
+    coeffs = np.zeros((width, len(polys), 1))
+    for col, poly in enumerate(polys):
+        try:
+            coeffs[width - len(poly.terms) :, col, 0] = [float(c) for _, c in poly.terms]
+        except OverflowError:
+            raise ValueError(
+                f"direct sum of (n={poly.n}, m={poly.m_abs}) at derivative order "
+                f"{poly.deriv_order}: a coefficient exceeds the binary64 range"
+            ) from None
+    return coeffs
 
 
 _BINARY64_BITS = np.finfo(np.float64).nmant + 1  # 53
@@ -387,16 +422,103 @@ def _binary64_column(values: Sequence[tuple[int, int]]) -> np.ndarray | None:
     return np.array([_significand_to_float(m, e) for m, e in values])
 
 
+# --- settling entries without the simulator ----------------------------------
+#
+# An entry (key, point) of a p-bit sweep is settled when a proof shows that its
+# simulated value rounds to the reference: it then adds exactly 0 to the max.
+
+_SLACK = 1 + 2.0**-50  # absorbs binary64's rounding of r and of the settle test
+_TINY = np.finfo(np.float64).tiny  # 2**-1022, the least normal binary64
+
+
+def _rounding_bound(polys: Sequence[ExactRadialPoly], points, bits: int) -> np.ndarray:
+    """E >= |p-bit direct sum - exact value| per (polynomial, point), in binary64.
+
+    The simulator (`_simulated_direct_column`) rounds x, then u = x*x, each
+    coefficient, two results per Horner step in u, x**|m| once from the exact
+    power, and the final product. Each rounding is a factor 1 + delta, |delta|
+    <= 2**-p, with no range limit. So the monomial c_j u^j x^m of a polynomial
+    with d Horner steps carries 2j + m factors from x, j from u, one from its
+    coefficient, at most 2j + 1 from Horner and two for the power and the final
+    product: at most K = 5d + m + 4 <= 2.5n + 4 (Higham 2002, 3.1 and 5.1). Hence
+
+        |sim - v| <= gamma_K * sum_j |c_j| x^(2j + m),  gamma_K = K 2**-p / (1 - K 2**-p).
+
+    The sum is one binary64 Horner of |c| over every polynomial (a
+    `_coefficient_stack`) at float(x)**2, times float(x)**m. Its terms are
+    positive and each carries at most K + 2 binary64 roundings (pow may miss by
+    an ulp), so it is low by under 2**-42 relative for K < 2**11. A u below
+    2**-1022 loses at most 2**-1074 per step against a sum of at least 1, as
+    every coefficient is a nonzero integer. The factor 1 + 2**-40 covers both
+    and the roundings of E itself. E is inf (never settled) where float(x),
+    float(x)**m or the sum leaves binary64's normal range or K reaches 2**11
+    (n past 800); everywhere if a coefficient exceeds binary64 (n from 814).
+    """
+    try:
+        coeffs = np.abs(_coefficient_stack(polys))
+    except ValueError:
+        return np.full((len(polys), len(points)), np.inf)
+    x = np.array([float(p) for p in points])
+    m_abs = np.array([[poly.m_abs] for poly in polys])
+    k = np.array([[5 * (len(poly.terms) - 1) + poly.m_abs + 4] for poly in polys])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        powers = x**m_abs
+        sums = _binary64_horner(coeffs, x * x) * powers * (1 + 2.0**-40)
+        normal = (x >= _TINY) & (powers >= _TINY) & (sums <= np.finfo(np.float64).max)
+        gamma = k * 2.0**-bits / (1 - k * 2.0**-bits)
+        return np.where(normal & (k < 2**11), gamma * sums, np.inf)
+
+
+def _settled(refs: np.ndarray, residuals, bound: np.ndarray) -> np.ndarray:
+    """True where every value within ``bound`` of the exact v = ref + r rounds to ref.
+
+    Settled iff (|r| (1 + 2**-50) + E) (1 + 2**-50) + 2**-1074 < min(gaps)/2,
+    doubled here, which is exact; the smaller gap of ref is the one below |ref|.
+    r = RN64(v - ref) is within 2**-53 |r| of v - ref, or 2**-1075 if
+    subnormal; each step of the test rounds a normal result by at most 2**-53
+    relative, which the two factors absorb; sums of subnormals are exact, and
+    2**-1074 covers what r and E each lose below 2**-1022. So |sim - ref| <=
+    |sim - v| + |v - ref| < half the gap, and sim rounds to ref. Zero and
+    subnormal refs, whose gap is at most 2**-1074, never settle.
+    """
+    mags = np.abs(refs)
+    with np.errstate(under="ignore"):
+        spread = (np.abs(residuals) * _SLACK + bound) * _SLACK
+        return 2 * (spread + 2.0**-1074) < mags - np.nextafter(mags, 0)
+
+
+def _residuals(nums, dens, refs: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """RN64(num/den - ref) per point, ref = RN64(num/den); inf where ``bound``
+    fails `_settled` even with r = 0, so no residual could settle the entry.
+
+    ref = M 2**-s exactly, with M = frexp mantissa * 2**53 and s = 53 - frexp
+    exponent >= 52 (a radial value lies in [-1, 1]): num/den - ref =
+    ((num << s) - M den) / (den << s), one correctly rounded int/int division.
+    """
+    out = np.full(len(refs), np.inf)
+    live = np.flatnonzero(_settled(refs, 0.0, bound))
+    frac, exp = np.frexp(refs[live])
+    mant = (frac * 2.0**_BINARY64_BITS).astype(np.int64).astype(object)
+    shift = (_BINARY64_BITS - exp).astype(object)
+    den = dens[live]
+    out[live] = ((nums[live] << shift) - mant * den) / (den << shift)
+    return out
+
+
 def _deviation(
     polys: Sequence[ExactRadialPoly],
     references: Sequence[Sequence[float]],
     points,
     bits: int,
+    settled: np.ndarray | None = None,
 ) -> float:
     """Worst |float64(p-bit direct sum) - reference| over every polynomial and point.
 
     Each point, u = x*x and each x**|m| (from the exact integer power) is
-    rounded once to ``bits`` and shared by every polynomial. At 53 bits a
+    rounded once to ``bits`` and shared by every polynomial. An entry marked in
+    ``settled`` (polys x points, `_settled`; past 53 bits) is proven to round to its
+    reference, so it adds exactly 0 and keeps it; only the others run on the
+    simulator, and the max is full simulation's bit for bit. At 53 bits a
     polynomial runs on binary64 itself, with the same operands, coefficients
     rounded once by ``float(c)``. Binary64's round to nearest even on a result
     in the normal range is 53-bit half-even rounding, so the rounded exact
@@ -411,18 +533,30 @@ def _deviation(
     xs = [_significand_from_fraction(p.numerator, p.denominator, bits) for p in points]
     us = [_round_significand(xm * xm, xe + xe, bits) for xm, xe in xs]
     u = _binary64_column(us) if bits == _BINARY64_BITS else None
-    powers: dict[int, list[tuple[int, int]]] = {}
+    powers: dict[int, list] = {}
     float_powers: dict[int, np.ndarray | None] = {}
-    table = np.empty((len(polys), len(points)))
+    table = np.array(references, dtype=np.float64)
+    everywhere = range(len(points))
+
+    def at(values: list) -> list:  # the values at the live points
+        return values if live is everywhere else [values[i] for i in live]
+
     with np.errstate(over="raise", under="raise"):
-        for poly, row in zip(polys, table):
+        for col, (poly, row) in enumerate(zip(polys, table)):
+            live = everywhere if settled is None else np.flatnonzero(~settled[col]).tolist()
+            if not live:
+                continue
             m_abs = poly.m_abs
-            if m_abs and m_abs not in powers:
-                powers[m_abs] = [
+            if m_abs and m_abs not in powers:  # with ``settled``, each point's as it goes live
+                powers[m_abs] = [None] * len(points) if settled is not None else [
                     _round_significand(xm**m_abs, xe * m_abs, bits) for xm, xe in xs
                 ]
                 if u is not None:
                     float_powers[m_abs] = _binary64_column(powers[m_abs])
+            known = powers.get(m_abs)
+            for i in live if m_abs and settled is not None else ():
+                if known[i] is None:
+                    known[i] = _round_significand(xs[i][0] ** m_abs, xs[i][1] * m_abs, bits)
             if u is not None and (not m_abs or float_powers[m_abs] is not None):
                 try:
                     row[:] = _binary64_horner([float(c) for _, c in poly.terms], u)
@@ -432,8 +566,10 @@ def _deviation(
                 except (FloatingPointError, OverflowError):
                     pass
             coeffs = [_round_significand(c, 0, bits) for _, c in poly.terms]
-            column = _simulated_direct_column(coeffs, us, powers.get(m_abs), bits)
-            row[:] = [_significand_to_float(mant, exp) for mant, exp in column]
+            column = _simulated_direct_column(coeffs, at(us), at(known) if m_abs else None, bits)
+            row[slice(None) if live is everywhere else live] = [
+                _significand_to_float(mant, exp) for mant, exp in column
+            ]
     return float(np.max(np.abs(table - np.array(references))))
 
 
@@ -459,7 +595,13 @@ def precision_sweep(
     nearest p-bit significand after each operation, and the worst
     |float64(simulated) - float64(exact)| is reported. Every width runs
     `_deviation`; at p = 53 each polynomial runs on binary64 itself, with the
-    same result, unless one of its values could differ there.
+    same result, unless one of its values could differ there. Past 53 bits an
+    entry runs on the simulator only where a proof cannot decide it: with the
+    a-priori bound E >= |sim - v| (`_rounding_bound`) and the residual r =
+    RN64(v - ref) from the oracle pass, an entry is settled when every value
+    within E of v rounds to ref (`_settled`). A settled entry's deviation is
+    exactly 0, so the max over the rest is the max over all. At 53 bits and
+    below gamma_K >= 2**-53 for every key, and nothing could settle.
 
     Returns (bits, max_deviation) pairs in the order the bits were given.
     """
@@ -471,6 +613,14 @@ def precision_sweep(
 
     keys = [(mode.n, mode.m) for mode in radial_sweep_modes(n_max)]
     polys = [radial_coefficients(n, m_abs) for n, m_abs in keys]
-    references = _exact_columns(keys, points)[0]
-
-    return [(bits, _deviation(polys, references, points, bits)) for bits in widths]
+    bounds = {b: _rounding_bound(polys, points, b) for b in widths if b > _BINARY64_BITS}
+    if bounds:  # the widest width's E is the least: it alone gates the residuals
+        tables, residuals = _exact_columns(keys, points, bound=bounds[max(bounds)])
+    else:
+        tables, residuals = _exact_columns(keys, points), None
+    references = tables[0]
+    rows = []
+    for bits in widths:
+        settled = _settled(references, residuals, bounds[bits]) if bits in bounds else None
+        rows.append((bits, _deviation(polys, references, points, bits, settled)))
+    return rows

@@ -249,6 +249,12 @@ def test_criterion_8_binary64_row_is_pinned(precision_csv):
     assert precision_csv[53] == 3.222182375232582e20
 
 
+def test_criterion_8_153_bit_row_is_pinned(precision_csv):
+    # most entries are settled by the rounding bound; the max is the full
+    # simulation's, at (n, m) = (100, 6) and rho = 98/99
+    assert precision_csv[153] == 7.326653173045372e-11
+
+
 def abs_coefficient_sum(n: int) -> int:
     """Largest sum of |coefficients| over the radial polynomials of degree n."""
     return max(

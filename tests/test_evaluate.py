@@ -28,6 +28,7 @@ from zernkit.evaluate import (
     radial_ztt_table,
     zernike_eval,
 )
+from zernkit.cli import run_accuracy
 from zernkit.modes import ModeError, full_mode_set
 from zernkit.tables import GridError
 
@@ -357,6 +358,27 @@ def test_direct_table_coefficient_overflow_names_the_key():
         radial_direct_table([(2, 0), (812, 0), (814, 0), (4, 2)], [0.5])
     assert str(table.value) == str(one.value)
     assert np.isfinite(radial_direct_table([(2, 0), (812, 0)], [0.5])).all()
+
+
+def test_direct_orders_in_one_pass_expand_each_key_once(monkeypatch):
+    # an accuracy job's direct baseline: one pass over orders 0..3 expands each
+    # unique key once, and every order keeps its one-mode bits
+    calls = []
+    expand = evaluate.radial_coefficients
+    monkeypatch.setattr(
+        evaluate, "radial_coefficients", lambda *key: calls.append(key) or expand(*key)
+    )
+    pairs = [(0, 0), (1, -1), (3, 1), (40, 0), (40, -6), (40, 6), (7, -3), (40, 0), (2, 2)]
+    grid = np.array([0.0, 5e-324, 1e-300, 1e-3, 0.5, 0.999, 1.0])
+    tables = evaluate._direct_tables(pairs, grid, range(4))
+    assert sorted(calls) == sorted({(abs(n), abs(m)) for n, m in pairs})
+    for k, table in enumerate(tables):
+        for col, mode in enumerate(zk.as_mode_set(pairs)):
+            want = direct_reference(mode.n, mode.m_abs, grid, k).tobytes()
+            assert table[:, col].tobytes() == want, (mode, k)
+    calls.clear()
+    run_accuracy(10, ["direct", "jacobi"], 20, 3)
+    assert len(calls) == len(radial_sweep(10))
 
 
 def test_radial_ztt_seed_is_exact_power():

@@ -17,6 +17,8 @@ from zernkit.exact import (
     _binary64_horner,
     _deviation,
     _exact_columns,
+    _rounding_bound,
+    _settled,
     _round_significand,
     _significand_from_fraction,
     _significand_to_float,
@@ -293,9 +295,9 @@ def sweep_polys(n_max):
     return [zk.radial_coefficients(m.n, m.m) for m in radial_sweep_modes(n_max)]
 
 
-def simulated_worst(polys, points, bits):
-    """The simulator's worst |float64(direct sum) - oracle| over polys and points."""
-    worst = 0.0
+def simulated_columns(polys, points, bits):
+    """Each polynomial's simulated (mant, exp) values at every point, every
+    entry on the simulator, from operands rounded as `_deviation` rounds them."""
     xs = [_significand_from_fraction(p.numerator, p.denominator, bits) for p in points]
     us = [_round_significand(xm * xm, xe + xe, bits) for xm, xe in xs]
     for poly in polys:
@@ -304,9 +306,17 @@ def simulated_worst(polys, points, bits):
         powers = None
         if m:
             powers = [_round_significand(xm**m, xe * m, bits) for xm, xe in xs]
-        column = _simulated_direct_column(coeffs, us, powers, bits)
-        for value, p in zip(column, points):
-            ref = float(zk.eval_exact(poly, p))
+        yield _simulated_direct_column(coeffs, us, powers, bits)
+
+
+def simulated_worst(polys, points, bits, references=None):
+    """The simulator's worst |float64(direct sum) - oracle| over polys and points;
+    ``references`` (polys x points) defaults to each exact value rounded once."""
+    if references is None:
+        references = [[float(zk.eval_exact(poly, p)) for p in points] for poly in polys]
+    worst = 0.0
+    for column, refs in zip(simulated_columns(polys, points, bits), references):
+        for value, ref in zip(column, refs):
             worst = max(worst, abs(_significand_to_float(*value) - ref))
     return worst
 
@@ -396,3 +406,126 @@ def test_binary64_row_falls_back_on_an_inexact_tiny_product():
     assert abs(plain - ref) != want
     # the terms are not R_309^307's, so the reference is this polynomial's own
     assert _deviation([poly], [[ref]], points, 53) == want
+
+
+def half_ulp_point(bits):
+    """A point just below 1/2 + 2**-(bits + 1): bits-bit rounding moves it by
+    almost 2**-bits relative, so x**m misses by almost m 2**-bits."""
+    return Fraction(1, 2) + Fraction(2**10 - 1, 2 ** (bits + 11))
+
+
+@pytest.mark.parametrize("bits", [24, 40, 64, 96, 153, 183])
+def test_rounding_bound_holds_on_every_simulated_entry(bits):
+    # |sim - v| <= E in exact rationals, for every key n <= 30 at every point;
+    # at the half-ulp point R_30^30 misses by about 30 2**-bits x**30, and E
+    # is gamma_34 x**30: the bound is nearly attained, and E / 2 fails
+    points = [Fraction(0), Fraction(5e-324), Fraction(1, 2**20), Fraction(1, 3)]
+    points += [Fraction(i, 16) for i in range(1, 17)] + [half_ulp_point(bits)]
+    polys = sweep_polys(30)
+    bound = _rounding_bound(polys, points, bits)
+    tightest = 0.0
+    for poly, column, row in zip(polys, simulated_columns(polys, points, bits), bound):
+        for (mant, exp), p, e in zip(column, points, row):
+            error = abs(Fraction(mant) * Fraction(2) ** exp - zk.eval_exact(poly, p))
+            if e != math.inf:
+                assert error <= Fraction(e), (poly.n, poly.m_abs, p, bits)
+                tightest = max(tightest, error / Fraction(e))
+    assert tightest > 0.8
+    assert (bound[:, points.index(Fraction(1, 3))] < math.inf).all()
+    # 0, 5e-324 and the subnormal powers at 2**-20 are never bounded
+    assert (bound[:, :2] == math.inf).all()
+    assert all((row[2] == math.inf) == (p.m_abs >= 52) for p, row in zip(polys, bound))
+
+
+def test_zero_and_subnormal_references_never_settle():
+    # with r = 0 and E = 0 a normal reference settles; its gap is what it
+    # needs. At 0, below 2**-1022 and at 2**-1022 itself (whose lower gap is
+    # 2**-1074) nothing can be told apart from the neighbouring value
+    refs = [0.5, -1.0, 0.0, 5e-324, -5e-324, 2.0**-1050, 2.0**-1022, 2.0**-1021, 2.0**-1019]
+    refs = np.array(refs)
+    zeros = np.zeros_like(refs)
+    assert _settled(refs, zeros, zeros).tolist() == [True, True] + [False] * 6 + [True]
+    # a residual or a bound of half the gap is already too much
+    half_gap = np.array([2.0**-55, 2.0**-54])  # below 0.5, and below 1.0
+    assert not _settled(refs[:2], half_gap, zeros[:2]).any()
+    assert not _settled(refs[:2], zeros[:2], half_gap).any()
+    assert _settled(refs[:2], half_gap / 2, half_gap / 4).all()
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [(mode.n, mode.m) for mode in radial_sweep_modes(12)],  # the recursion
+        [(1000, 0), (3, 1), (1000, 2)],  # a few high degrees: the Horner sums
+    ],
+)
+def test_residuals_are_the_rounded_exact_remainders(keys, monkeypatch):
+    # r = RN64(v - ref) for every entry whose reference leaves room to settle
+    # (a bound of 0 leaves all but the zero ones); inf for the others
+    calls = []
+    horner = exact._horner_columns
+    monkeypatch.setattr(exact, "_horner_columns", lambda *a: calls.append(a) or horner(*a))
+    points = [Fraction(0), Fraction(1, 3), Fraction(1, 7), Fraction(5, 16), Fraction(1)]
+    points += [Fraction(1, 2**20), Fraction(2**53 - 1, 2**53)]
+    tables, residuals = _exact_columns(keys, points, bound=np.zeros((len(keys), len(points))))
+    assert len(calls) == (keys[0] == (1000, 0))
+    assert tables.tobytes() == _exact_columns(keys, points).tobytes()
+    for (n, m), refs, row in zip(keys, tables[0], residuals):
+        poly = zk.radial_coefficients(n, m)
+        for p, ref, r in zip(points, refs, row):
+            if ref == 0.0:
+                assert r == math.inf
+            else:
+                assert r == float(zk.eval_exact(poly, p) - Fraction(ref)), (n, m, p)
+
+
+def full_simulation(n_max, points, bits):
+    """Worst |float64(p-bit direct sum) - oracle| at n <= n_max, every entry simulated."""
+    references = zk.oracle_table(radial_sweep_modes(n_max), points).values.T
+    return simulated_worst(sweep_polys(n_max), points, bits, references)
+
+
+SWEEP_WIDTHS = [24, 40, 53, 61, 64, 80, 96, 113, 153, 183, 1024]
+
+
+@pytest.fixture(scope="module")
+def simulated40():
+    grid = zk.rational_radial_grid(50)
+    points = list(map(Fraction, grid))
+    return grid, {bits: full_simulation(40, points, bits) for bits in SWEEP_WIDTHS}
+
+
+@pytest.mark.parametrize("bits", SWEEP_WIDTHS)
+def test_precision_sweep_equals_full_simulation(bits, simulated40):
+    # settled entries add exactly 0, so the max is bit for bit the full one's
+    grid, want = simulated40
+    assert precision_sweep(40, [bits], grid) == [(bits, want[bits])]
+
+
+def test_one_sweep_of_every_width_equals_full_simulation(simulated40):
+    # one sweep gates its residuals with the widest width's bound
+    grid, want = simulated40
+    assert precision_sweep(40, SWEEP_WIDTHS, grid) == [(b, want[b]) for b in SWEEP_WIDTHS]
+
+
+@pytest.mark.parametrize("bits", [64, 96, 183, 1024])
+def test_precision_sweep_simulates_past_the_normal_range(bits):
+    # at x = 2**-20, x**|m| is subnormal from |m| = 52 on: those entries are
+    # never settled, and the max is still the full simulation's
+    points = [Fraction(1, 2**20), Fraction(1, 2)]
+    assert precision_sweep(60, [bits], points) == [(bits, full_simulation(60, points, bits))]
+
+
+def test_wide_sweeps_simulate_only_the_unsettled_entries(monkeypatch):
+    simulated = []
+
+    def counted(coeffs, us, powers, bits):
+        simulated.append(len(us))
+        return _simulated_direct_column(coeffs, us, powers, bits)
+
+    monkeypatch.setattr(exact, "_simulated_direct_column", counted)
+    grid = zk.rational_radial_grid(100)
+    assert precision_sweep(40, [183], grid) == [(183, 0.0)]
+    entries = len(radial_sweep_modes(40)) * 100
+    assert entries == 44_100
+    assert 0 < sum(simulated) <= entries // 100
