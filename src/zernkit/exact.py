@@ -428,7 +428,6 @@ def _binary64_column(values: Sequence[tuple[int, int]]) -> np.ndarray | None:
 # simulated value rounds to the reference: it then adds exactly 0 to the max.
 
 _SLACK = 1 + 2.0**-50  # absorbs binary64's rounding of r and of the settle test
-_TINY = np.finfo(np.float64).tiny  # 2**-1022, the least normal binary64
 
 
 def _rounding_bound(polys: Sequence[ExactRadialPoly], points, bits: int) -> np.ndarray:
@@ -464,7 +463,8 @@ def _rounding_bound(polys: Sequence[ExactRadialPoly], points, bits: int) -> np.n
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         powers = x**m_abs
         sums = _binary64_horner(coeffs, x * x) * powers * (1 + 2.0**-40)
-        normal = (x >= _TINY) & (powers >= _TINY) & (sums <= np.finfo(np.float64).max)
+        normal = np.minimum(x, powers) >= 2.0**_MIN_NORMAL_EXP
+        normal &= sums <= np.finfo(np.float64).max
         gamma = k * 2.0**-bits / (1 - k * 2.0**-bits)
         return np.where(normal & (k < 2**11), gamma * sums, np.inf)
 
@@ -533,30 +533,23 @@ def _deviation(
     xs = [_significand_from_fraction(p.numerator, p.denominator, bits) for p in points]
     us = [_round_significand(xm * xm, xe + xe, bits) for xm, xe in xs]
     u = _binary64_column(us) if bits == _BINARY64_BITS else None
-    powers: dict[int, list] = {}
-    float_powers: dict[int, np.ndarray | None] = {}
+    if settled is None:
+        settled = np.zeros((len(polys), len(points)), dtype=bool)
+    ms = np.array([poly.m_abs for poly in polys], dtype=int)
+    powers: dict[int, list] = {}  # x**|m| wherever a polynomial of that |m| is unsettled
+    for m_abs in set(ms.tolist()) - {0}:
+        needed = (~settled[ms == m_abs].all(axis=0)).tolist()
+        powers[m_abs] = [
+            _round_significand(xm**m_abs, xe * m_abs, bits) if need else None
+            for (xm, xe), need in zip(xs, needed)
+        ]
+    float_powers: dict[int, np.ndarray | None] = {}  # 53 bits: no entry is settled
+    if u is not None:
+        float_powers = {m_abs: _binary64_column(column) for m_abs, column in powers.items()}
     table = np.array(references, dtype=np.float64)
-    everywhere = range(len(points))
-
-    def at(values: list) -> list:  # the values at the live points
-        return values if live is everywhere else [values[i] for i in live]
-
     with np.errstate(over="raise", under="raise"):
         for col, (poly, row) in enumerate(zip(polys, table)):
-            live = everywhere if settled is None else np.flatnonzero(~settled[col]).tolist()
-            if not live:
-                continue
             m_abs = poly.m_abs
-            if m_abs and m_abs not in powers:  # with ``settled``, each point's as it goes live
-                powers[m_abs] = [None] * len(points) if settled is not None else [
-                    _round_significand(xm**m_abs, xe * m_abs, bits) for xm, xe in xs
-                ]
-                if u is not None:
-                    float_powers[m_abs] = _binary64_column(powers[m_abs])
-            known = powers.get(m_abs)
-            for i in live if m_abs and settled is not None else ():
-                if known[i] is None:
-                    known[i] = _round_significand(xs[i][0] ** m_abs, xs[i][1] * m_abs, bits)
             if u is not None and (not m_abs or float_powers[m_abs] is not None):
                 try:
                     row[:] = _binary64_horner([float(c) for _, c in poly.terms], u)
@@ -565,11 +558,13 @@ def _deviation(
                     continue
                 except (FloatingPointError, OverflowError):
                     pass
+            live = np.flatnonzero(~settled[col]).tolist()
+            if not live:
+                continue
             coeffs = [_round_significand(c, 0, bits) for _, c in poly.terms]
-            column = _simulated_direct_column(coeffs, at(us), at(known) if m_abs else None, bits)
-            row[slice(None) if live is everywhere else live] = [
-                _significand_to_float(mant, exp) for mant, exp in column
-            ]
+            known = [powers[m_abs][i] for i in live] if m_abs else None
+            column = _simulated_direct_column(coeffs, [us[i] for i in live], known, bits)
+            row[live] = [_significand_to_float(mant, exp) for mant, exp in column]
     return float(np.max(np.abs(table - np.array(references))))
 
 
