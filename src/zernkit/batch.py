@@ -20,11 +20,13 @@ angular factor is formed once per request. ``EvalMatrix.values``: its transpose.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evaluate import (  # perfbench's probes patch jacobi_chain and assemble_radial here
+    CHECKED_MIN_DEGREE,
     PowerTable,
     angular_factor,
     assemble_radial,
@@ -32,7 +34,6 @@ from .evaluate import (  # perfbench's probes patch jacobi_chain and assemble_ra
     jacobi_chain,
     jacobi_steps,
     radial_powers,
-    range_guard,
 )
 from .modes import DedupPlan, ModeSet, as_mode_set, dedup_plan
 from .tables import EvalMatrix, angular_grid, check_deriv_order, radial_grid
@@ -120,9 +121,11 @@ def evaluate_batch(
 ) -> tuple[EvalMatrix, StepCounter]:
     """Run the request's chain plan; columns follow the request's mode order.
 
-    With angles, each row is then scaled in place by its m's ``angular_factor``;
-    an m * theta that overflows raises ValueError. ``parallel`` is ignored; the
-    counter sums the chains and steps that ran.
+    From the top degree where ``evaluate``'s range gate starts, the blocks run
+    with numpy's overflow and invalid warnings off, and the first non-finite
+    output row in request order raises ValueError. With angles, each row is then scaled in
+    place by its m's ``angular_factor``; an m * theta that overflows raises
+    ValueError. ``parallel`` is ignored; the counter sums the chains and steps that ran.
     """
     rho = request.grid
     u = jacobi_argument(rho)
@@ -154,23 +157,30 @@ def evaluate_batch(
             for row in served:
                 out[row] = value
 
-    for block in blocks:
-        # blocks run in ascending alpha: no later block reads an exponent below alpha - k
-        for e in [e for e in table if e < block[0][0] - k]:
-            del table[e]
-        stack = [(c, g) for g, (_, chains, _) in enumerate(block) for c in chains]
-        stack.sort(reverse=True)
-        shifts = [[None] * len(chains) for _, chains, _ in block]
-        for r, ((_, _, i), g) in enumerate(stack):
-            shifts[g][i] = ring[:, r]
-        readouts: dict[int, list] = {}  # this block's modes by degree, read by readout
-        for (alpha, _, entries), rows in zip(block, shifts):
-            powers = radial_powers(table, alpha, k)
-            for j, served in entries:
-                readouts.setdefault(j, []).append((alpha, rows, powers, served))
-        with range_guard(max(alpha + 2 * chains[0][0] for alpha, chains, _ in block)):
+    checked = max((a + 2 * c[0][0] for a, c, _ in groups), default=0) >= CHECKED_MIN_DEGREE
+    with np.errstate(over="ignore", invalid="ignore") if checked else contextlib.nullcontext():
+        for block in blocks:
+            # blocks run in ascending alpha: no later block reads an exponent below alpha - k
+            for e in [e for e in table if e < block[0][0] - k]:
+                del table[e]
+            stack = [(c, g) for g, (_, chains, _) in enumerate(block) for c in chains]
+            stack.sort(reverse=True)
+            shifts = [[None] * len(chains) for _, chains, _ in block]
+            for r, ((_, _, i), g) in enumerate(stack):
+                shifts[g][i] = ring[:, r]
+            readouts: dict[int, list] = {}  # this block's modes by degree, read by readout
+            for (alpha, _, entries), rows in zip(block, shifts):
+                powers = radial_powers(table, alpha, k)
+                for j, served in entries:
+                    readouts.setdefault(j, []).append((alpha, rows, powers, served))
             steps += jacobi_steps(u, [c for c, _ in stack], ring, scratch, readout)
-        chain_count += len(stack)
+            chain_count += len(stack)
+    if checked and not (finite := np.isfinite(out).all(axis=1)).all():
+        mode = request.modes[int(finite.argmin())]  # the first non-finite row
+        raise ValueError(
+            f"Jacobi evaluation of (n={mode.n}, m={mode.m_abs}) at derivative order {k} "
+            "leaves the binary64 range"
+        )
     if request.angles is not None:  # one rounding: the bits of radial times factor
         theta, rows_by_m = request.angles, {}
         for mode, row in zip(request.modes, out):

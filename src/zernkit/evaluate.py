@@ -11,7 +11,6 @@ shifted parameters. ``batch.evaluate_batch`` runs all chains as degree-stacked
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
@@ -22,7 +21,7 @@ from .modes import ztt_levels
 # perfbench's probes patch angular_grid here
 from .tables import angular_grid, check_deriv_order, radial_grid
 
-# Degree n from which assemble_radial checks that its output is finite.
+# Degree n from which batch.evaluate_batch checks that its output rows are finite.
 # Below it nothing can overflow. On [-1, 1], |P_j^(a,b)| <= C(j + a, j) for
 # a >= b >= 0, and every chain row that a mode of degree n reads (shift i:
 # a = |m| + i, j <= (n - |m|)/2 - i) has C(j + a, j) <= C(n - j, j) <= F(n + 1),
@@ -239,14 +238,6 @@ def radial_powers(table: PowerTable, m_abs: int, deriv_order: int) -> list[np.nd
     return [table[max(m_abs - deriv_order + 2 * i, 0)] for i in range(deriv_order + 1)]
 
 
-def range_guard(n: int):
-    """Context for modes of degree up to n: from CHECKED_MIN_DEGREE on, where
-    assemble_radial raises a typed error instead, numpy's warnings are off."""
-    if n >= CHECKED_MIN_DEGREE:
-        return np.errstate(over="ignore", invalid="ignore")
-    return contextlib.nullcontext()
-
-
 def assemble_radial(
     m_abs: int, j: int, deriv_order: int, chains, powers, out: np.ndarray
 ) -> np.ndarray:
@@ -276,7 +267,6 @@ def assemble_radial(
     Each term is (weight * scale) * rho**e * row, the scalar formed before
     any array is touched, and the terms are summed left to right. A vanished
     term still enters the sum, as a row of signed zeros.
-    From degree CHECKED_MIN_DEGREE on, a non-finite result raises ValueError.
     """
     term = np.empty_like(out) if deriv_order else None  # terms after the first
     for i, weight in enumerate(_DERIVATIVE_WEIGHTS[deriv_order](m_abs)):
@@ -289,12 +279,6 @@ def assemble_radial(
             np.add(out, term, out=out)
     if j & 1:
         np.negative(out, out=out)
-    n = m_abs + 2 * j
-    if n >= CHECKED_MIN_DEGREE and not np.all(np.isfinite(out)):
-        raise ValueError(
-            f"Jacobi evaluation of (n={n}, m={m_abs}) at derivative order {deriv_order} "
-            "leaves the binary64 range"
-        )
     return out
 
 

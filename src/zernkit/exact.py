@@ -594,9 +594,10 @@ def precision_sweep(
     entry runs on the simulator only where a proof cannot decide it: with the
     a-priori bound E >= |sim - v| (`_rounding_bound`) and the residual r =
     RN64(v - ref) from the oracle pass, an entry is settled when every value
-    within E of v rounds to ref (`_settled`). A settled entry's deviation is
-    exactly 0, so the max over the rest is the max over all. At 53 bits and
-    below gamma_K >= 2**-53 for every key, and nothing could settle.
+    within E of v rounds to ref (`_settled`), and the point 0, where the sum is
+    exact, is settled outright. A settled entry's deviation is exactly 0, so
+    the max over the rest is the max over all. At 53 bits and below gamma_K >=
+    2**-53 for every key, and nothing could settle.
 
     Returns (bits, max_deviation) pairs in the order the bits were given.
     """
@@ -614,8 +615,10 @@ def precision_sweep(
     else:
         tables, residuals = _exact_columns(keys, points), None
     references = tables[0]
+    # at x = 0 every p-bit sum is exact: x**|m| = 0 for |m| > 0, else R_n^0(0) = +-1
+    zero = np.array([p == 0 for p in points], dtype=bool)
     rows = []
     for bits in widths:
-        settled = _settled(references, residuals, bounds[bits]) if bits in bounds else None
+        settled = _settled(references, residuals, bounds[bits]) | zero if bits in bounds else None
         rows.append((bits, _deviation(polys, references, points, bits, settled)))
     return rows

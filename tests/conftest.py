@@ -28,6 +28,14 @@ def reference_chain(j_max, alpha, beta, x):
     return out
 
 
+@pytest.fixture(autouse=True)
+def numpy_error_state_is_restored():
+    """Every errstate a test runs, on its raising path too, leaves numpy's settings as found."""
+    before = np.geterr()
+    yield
+    assert np.geterr() == before
+
+
 @pytest.fixture(scope="session")
 def grid100():
     return zk.linear_radial_grid(100)

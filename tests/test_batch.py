@@ -404,3 +404,35 @@ def test_stack_raises_the_typed_error_without_warnings(engine, k):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"n=1439, m=637"):
             evaluate_batch(request)
+
+
+# --- the binary64 range, checked once per request ------------------------------
+
+
+@pytest.mark.parametrize("strategy", ["cached", "independent"])
+@pytest.mark.parametrize("k", range(4))
+def test_the_error_names_the_first_non_finite_row_in_request_order(engine, strategy, k):
+    # both rows leave binary64 at rho = 0; the chain of m = 498 runs first (ascending alpha)
+    request = BatchRequest([(1500, 850), (1500, 498)], [0.0, 0.5], k, strategy)
+    with pytest.raises(ValueError, match=rf"\(n=1500, m=850\) at derivative order {k} "):
+        evaluate_batch(request)
+
+
+@pytest.mark.parametrize("strategy", ["cached", "independent"])
+@pytest.mark.parametrize("k", range(4))
+def test_the_angular_stage_never_sees_a_non_finite_row(strategy, k):
+    request = BatchRequest([(3, 1), (1439, -637)], [0.0, 0.5], k, strategy, angles=[0.3, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"n=1439, m=637"):
+            evaluate_batch(request)
+
+
+@pytest.mark.parametrize("strategy", ["cached", "independent"])
+@pytest.mark.parametrize("k", range(4))
+def test_a_finite_request_past_the_gate_returns_each_modes_values(engine, strategy, k):
+    modes = [(1439, 637), (3, 1)]
+    table, _ = evaluate_batch(BatchRequest(modes, [0.5], k, strategy))
+    for column, (n, m) in zip(table.values.T, modes):
+        assert np.isfinite(column).all()
+        assert column.tobytes() == radial_jacobi(n, m, [0.5], k).tobytes()

@@ -524,8 +524,16 @@ def test_wide_sweeps_simulate_only_the_unsettled_entries(monkeypatch):
         return _simulated_direct_column(coeffs, us, powers, bits)
 
     monkeypatch.setattr(exact, "_simulated_direct_column", counted)
-    grid = zk.rational_radial_grid(100)
+    grid = zk.rational_radial_grid(100)  # holds the point 0, which is settled outright
     assert precision_sweep(40, [183], grid) == [(183, 0.0)]
-    entries = len(radial_sweep_modes(40)) * 100
-    assert entries == 44_100
-    assert 0 < sum(simulated) <= entries // 100
+    assert sum(simulated) == 0  # of all 44,100 entries
+
+
+@pytest.mark.parametrize("bits", [54, 61])
+def test_only_the_point_0_is_settled_outright(bits):
+    # beside the point 0, the max comes from 1/99, where the bound settles too
+    # little: the simulator must still run there
+    points = [Fraction(0), Fraction(1, 99)]
+    want = full_simulation(40, points, bits)
+    assert want > 0
+    assert precision_sweep(40, [bits], points) == [(bits, want)]
